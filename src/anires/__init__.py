@@ -51,6 +51,7 @@ from .borel import (
     approximant_to_json,
     basis_integral,
     basis_integral_tform,
+    basis_integrals,
     basis_series_coefficient,
     borel_coefficients,
     build_approximant,

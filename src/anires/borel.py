@@ -29,10 +29,12 @@ w = (sqrt(1+sigma g t)-1)/(sqrt(1+sigma g t)+1):
 
 which the double-exponential quadrature handles without manual splitting; the
 (1-w)^{-...} endpoint growth is dominated by the essential decay of the
-exponential.  For sigma*g below 1e-3 the integrand support collapses below
-quadrature resolution and the optimally truncated power series of I_p is used
-instead (its minimal term is ~exp(-1/(sigma g)), far below any tolerance the
-quadrature could deliver there).
+exponential.  At fixed g the integrands of all basis functions differ only by
+powers of w and (1-w) and a constant, so they are integrated together, on one
+node set (:func:`basis_integrals`).  For sigma*g below 1e-3 the integrand
+support collapses below quadrature resolution and the optimally truncated
+power series of I_p is used instead (its minimal term is ~exp(-1/(sigma g)),
+far below any tolerance the quadrature could deliver there).
 
 Double series: the anisotropic generalization resums the g-series of each
 anisotropy power separately, with n-dependent Borel parameter b0(n).  The
@@ -45,9 +47,10 @@ from __future__ import annotations
 
 import json
 import math
-import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate, repeat
+from operator import mul
 from typing import Dict, List, Sequence, Tuple, Union
 
 from .quadrature import DEFAULT_SPEC, QuadratureSpec, integrate_unit, integrate_semiline
@@ -61,6 +64,7 @@ __all__ = [
     "borel_coefficients",
     "basis_series_coefficient",
     "basis_integral",
+    "basis_integrals",
     "basis_integral_tform",
     "build_approximant",
     "resum",
@@ -199,37 +203,80 @@ def _basis_series_value(spec: BorelBasisSpec, g: float) -> float:
     return total
 
 
+def basis_integrals(
+    specs: Sequence[BorelBasisSpec], g: float, quad: QuadratureSpec = DEFAULT_SPEC
+) -> List[float]:
+    """I_p(g) for every spec, in order, from one w-form quadrature.
+
+    The specs must share sigma and alpha.  All integrands are integrated on
+    one node set: per node the factor common to all of them is formed once in
+    logs, each distinct b0 (a column) takes one exp, and the powers of w for
+    the higher p of a column follow by a running product.  A refinement level
+    is accepted only when every integral meets the tolerance.  For sigma*g
+    below SMALL_SIGMA_G each value is its truncated power series instead.
+    """
+    if g <= 0:
+        raise ValueError(f"requires g > 0, got {g}")
+    if not specs:
+        return []
+    sigma, alpha = float(specs[0].sigma), float(specs[0].alpha)
+    columns: Dict[float, List[int]] = {}  # spec indices by b0
+    for i, s in enumerate(specs):
+        if float(s.sigma) != sigma or float(s.alpha) != alpha:
+            raise ValueError("basis specs must share sigma and alpha")
+        columns.setdefault(float(s.b0), []).append(i)
+    sg = sigma * g
+    if sg < SMALL_SIGMA_G:
+        return [_basis_series_value(s, g) for s in specs]
+    order = []  # spec index of each integrand component
+    # per column: log offset, coefficients of log w and log(1-w), and the steps
+    # in p above the column's lowest p (None when every step is 1)
+    terms = []
+    b0_base = min(columns)
+    ln_4_over_sg = math.log(4.0 / sg)
+
+    def ln_pref(b0: float) -> float:
+        return (b0 + 1.0) * ln_4_over_sg - log_gamma(b0 + 1.0)
+
+    ln_pref_base = ln_pref(b0_base)
+    for b0 in sorted(columns):
+        idx = sorted(columns[b0], key=lambda i: specs[i].p)
+        ps = [specs[i].p for i in idx]
+        db = b0 - b0_base
+        steps = [b - a for a, b in zip(ps, ps[1:])]
+        terms.append((ln_pref(b0) - ln_pref_base, db + ps[0], 2.0 * db,
+                      len(steps), None if set(steps) <= {1} else steps))
+        order.extend(idx)
+    edge_base = 2.0 * b0_base + 2.0 * alpha + 3.0
+    log, log1p, exp = math.log, math.log1p, math.exp
+
+    def integrand(w: float) -> List[float]:
+        one_m = 1.0 - w
+        ln_w = log(w)
+        ln_1m = log(one_m)
+        common = (ln_pref_base + log1p(w) + b0_base * ln_w - edge_base * ln_1m
+                  - 4.0 * w / (one_m * one_m * sg))
+        out: List[float] = []
+        for offset, c_w, c_1m, count, steps in terms:
+            # exp underflows to 0.0 below about -745, as the tails need
+            v = exp(common + offset + c_w * ln_w - c_1m * ln_1m)
+            factors = repeat(w, count) if steps is None else map(pow, repeat(w), steps)
+            out.extend(accumulate(factors, mul, initial=v))
+        return out
+
+    values = integrate_unit(integrand, quad).value
+    result = [0.0] * len(specs)
+    for i, v in zip(order, values):
+        result[i] = v
+    return result
+
+
 def basis_integral(
     spec: BorelBasisSpec, g: float, quad: QuadratureSpec = DEFAULT_SPEC
 ) -> float:
     """I_p(g) for g > 0, via the w-form integral (or the truncated series
     in the small-coupling regime sigma*g < 1e-3)."""
-    if g <= 0:
-        raise ValueError(f"requires g > 0, got {g}")
-    sigma = float(spec.sigma)
-    sg = sigma * g
-    if sg < SMALL_SIGMA_G:
-        return _basis_series_value(spec, g)
-    b0 = float(spec.b0)
-    alpha = float(spec.alpha)
-    p = spec.p
-    ln_pref = (b0 + 1.0) * math.log(4.0 / sg) - log_gamma(b0 + 1.0)
-    edge = 2.0 * b0 + 2.0 * alpha + 3.0
-
-    def integrand(w: float) -> float:
-        one_m = 1.0 - w
-        ln_val = (
-            ln_pref
-            + math.log1p(w)
-            + (b0 + p) * math.log(w)
-            - edge * math.log(one_m)
-            - 4.0 * w / (one_m * one_m * sg)
-        )
-        if ln_val < -745.0:
-            return 0.0
-        return math.exp(ln_val)
-
-    return integrate_unit(integrand, quad).value
+    return basis_integrals([spec], g, quad)[0]
 
 
 def basis_integral_tform(
@@ -267,17 +314,33 @@ class ResummedApproximant:
 
     ``a[(p, n)]`` holds the exact coefficients, n <= p <= N.  ``resum``
     evaluates ``sum_n (sum_p a_pn I_pn(g)) y^n`` where y is the anisotropy
-    variable the input table is written in.  Basis values are memoized per
-    (p, n, g) under a lock, so concurrent grid evaluation returns exactly the
-    serial values.
+    variable the input table is written in.  The I_pn with a_pn != 0 are
+    computed together by :func:`basis_integrals` and memoized per (g, spec);
+    two threads that miss the same key both store the same deterministic
+    values, so concurrent grid evaluation returns exactly the serial values.
     """
 
     N: int
     a: Dict[Tuple[int, int], Fraction]
     params: LargeOrderParams
     input_table: CoefficientTable
-    _cache: Dict[Tuple[int, int, float], float] = field(default_factory=dict, repr=False)
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
+    _cache: Dict[Tuple[float, QuadratureSpec], List[float]] = field(
+        default_factory=dict, repr=False)
+    # the nonzero a_pn as floats grouped by n, their basis specs in the same
+    # order, and the position of each (p, n) in that order
+    _columns: List[Tuple[int, List[float]]] = field(init=False, repr=False)
+    _specs: List[BorelBasisSpec] = field(init=False, repr=False)
+    _index: Dict[Tuple[int, int], int] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self._columns, self._specs, self._index = [], [], {}
+        for n in range(self.N + 1):
+            ps = [p for p in range(n, self.N + 1) if self.a[(p, n)] != 0]
+            if ps:
+                self._columns.append((n, [float(self.a[(p, n)]) for p in ps]))
+            for p in ps:
+                self._index[(p, n)] = len(self._specs)
+                self._specs.append(self.basis_spec(p, n))
 
     def basis_spec(self, p: int, n: int) -> BorelBasisSpec:
         return BorelBasisSpec(
@@ -287,28 +350,30 @@ class ResummedApproximant:
             sigma=Fraction(self.params.sigma),
         )
 
+    def basis_values(self, g: float, quad: QuadratureSpec = DEFAULT_SPEC) -> List[float]:
+        """I_pn(g) for every nonzero a_pn, in (n, p) order, memoized."""
+        key = (g, quad)
+        values = self._cache.get(key)
+        if values is None:
+            values = self._cache[key] = basis_integrals(self._specs, g, quad)
+        return values
+
     def basis_value(self, p: int, n: int, g: float, quad: QuadratureSpec = DEFAULT_SPEC) -> float:
-        key = (p, n, g)
-        with self._lock:
-            hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        value = basis_integral(self.basis_spec(p, n), g, quad)
-        with self._lock:
-            self._cache[key] = value
-        return value
+        """I_pn(g); from the memoized vector when a_pn != 0."""
+        i = self._index.get((p, n))
+        if i is None:
+            return basis_integral(self.basis_spec(p, n), g, quad)
+        return self.basis_values(g, quad)[i]
 
     def resum(self, g: float, y: float, quad: QuadratureSpec = DEFAULT_SPEC) -> float:
         if g <= 0:
             raise ValueError(f"requires g > 0, got {g}")
+        values = iter(self.basis_values(g, quad))
         total = 0.0
-        for n in range(self.N + 1):
+        for n, coeffs in self._columns:
             inner = 0.0
-            for p in range(n, self.N + 1):
-                coeff = self.a[(p, n)]
-                if coeff == 0:
-                    continue
-                inner += float(coeff) * self.basis_value(p, n, g, quad)
+            for coeff in coeffs:
+                inner += coeff * next(values)
             total += inner * y**n
         return total
 

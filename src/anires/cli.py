@@ -1,10 +1,10 @@
 """Command-line interface.
 
-Every command writes one deterministic CSV (or JSON) file: rows are computed
-in a thread pool but always emitted in sorted grid order, and floats are
-rendered with shortest round-trip repr, so identical configurations produce
-byte-identical output.  Couplings are entered as g/4 (every figure and table
-is parameterized that way); --raw-g switches the flag value to raw g.
+Every command writes one deterministic CSV (or JSON) file: rows are emitted
+in sorted grid order, and floats are rendered with shortest round-trip repr,
+so identical configurations produce byte-identical output.  Couplings are
+entered as g/4 (every figure and table is parameterized that way); --raw-g
+switches the flag value to raw g, in every command that takes --g4.
 
 Exit status is 0 only if every requested grid point evaluated successfully;
 failures are listed on stderr and flip the status to 1.
@@ -19,7 +19,6 @@ import csv
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from typing import List, Optional, Sequence
 
@@ -103,15 +102,12 @@ def _write_rows(path: Optional[str], header: Sequence[str], rows: Sequence[Seque
             out.close()
 
 
-def _pool_map(fn, items):
-    """Evaluate fn over items in a worker pool; results keep input order."""
-    if len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=min(8, os.cpu_count() or 1)) as pool:
-        return list(pool.map(fn, items))
-
-
-def _g4_value(args) -> Fraction:
+def _g4_value(args, default: Optional[str] = None) -> Fraction:
+    """The coupling g/4: --g4, divided by 4 under --raw-g, else ``default``."""
+    if args.g4 is None:
+        if default is None:
+            raise SystemExit("need --g4")
+        return Fraction(default)
     g4 = Fraction(args.g4)
     if args.raw_g:
         g4 = g4 / 4
@@ -153,12 +149,7 @@ def cmd_model_eval(args) -> int:
     spec = _quad_spec(args.tol)
     g = 4.0 * float(_g4_value(args))
     deltas = _delta_grid(args)
-
-    def one(d: Fraction):
-        return model.z_reference(g, float(d), spec)
-
-    values = _pool_map(one, deltas)
-    rows = [(float(d), v) for d, v in zip(deltas, values)]
+    rows = [(float(d), model.z_reference(g, float(d), spec)) for d in deltas]
     _write_rows(args.out, ["delta", "z_reference"], rows, args.format)
     return 0
 
@@ -206,7 +197,7 @@ def cmd_model_resum(args) -> int:
             failures.append(f"delta={df}: {exc}")
             return None
 
-    results = [r for r in _pool_map(one, deltas) if r is not None]
+    results = [r for r in map(one, deltas) if r is not None]
     _write_rows(args.out, ["delta", "z_resummed", "z_reference", "abs_error"],
                 sorted(results), args.format)
     for line in failures:
@@ -216,7 +207,7 @@ def cmd_model_resum(args) -> int:
 
 def cmd_qm_resum(args) -> int:
     spec = _quad_spec(args.tol)
-    gbar = float(_g4_value(args))
+    gbar = _g4_value(args)
     N = args.order
     sigma = Fraction(args.sigma)
     deltas = _delta_grid(args)
@@ -230,18 +221,17 @@ def cmd_qm_resum(args) -> int:
 
     def one(d: Fraction):
         try:
-            e = approx.resum(gbar, 2.0 * float(d), spec)
+            e = approx.resum(float(gbar), 2.0 * float(d), spec)
             row = [float(d), e]
             if args.vpt_baseline:
-                row.append(vpt.vpt_energy(state.energy, args.vpt_baseline,
-                                          Fraction(args.g4), d).energy)
+                row.append(vpt.vpt_energy(state.energy, args.vpt_baseline, gbar, d).energy)
             return tuple(row)
         except Exception as exc:
             failures.append(f"delta={float(d)}: {exc}")
             return None
 
     header = ["delta", "e_resummed"] + (["vpt_baseline"] if args.vpt_baseline else [])
-    results = [r for r in _pool_map(one, deltas) if r is not None]
+    results = [r for r in map(one, deltas) if r is not None]
     _write_rows(args.out, header, sorted(results), args.format)
     for line in failures:
         print(f"FAILED {line}", file=sys.stderr)
@@ -284,7 +274,7 @@ def cmd_figures(args) -> int:
         args.delta, args.kmax = delta, kmax
         return cmd_model_crossover(args)
     if which == "fig4":
-        g = 4.0 * float(Fraction(args.g4 or "1/4"))
+        g = 4.0 * float(_g4_value(args, "1/4"))
         deltas = _parse_range("-1:3/2:1/20")
         mc = model.ModelCoefficients.build(8)
         params = model.model_large_order_params()
@@ -303,7 +293,7 @@ def cmd_figures(args) -> int:
         # fig8/fig9 are the larger-sigma refit of fig5/fig6
         sigma_default = "3" if which in ("fig5", "fig6") else "4"
         sigma = Fraction(args.sigma or sigma_default)
-        gbar = Fraction(args.g4 or gbar_default)
+        gbar = _g4_value(args, gbar_default)
         orders = (2, 4, 6) if which in ("fig8", "fig9") else (2, 4, 6, 8)
         deltas = _parse_range("-3/2:2:1/10")
         state = benderwu.build(12)
@@ -318,7 +308,7 @@ def cmd_figures(args) -> int:
         _write_rows(args.out, header, rows, args.format)
         return 0
     if which == "fig7":
-        gbar = Fraction(args.g4 or "1/10")
+        gbar = _g4_value(args, "1/10")
         state = benderwu.build(5)
         rows = []
         for ds in ("-3/2", "-1/2", "1/2", "3/2"):

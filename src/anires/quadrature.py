@@ -12,16 +12,24 @@ double-exponential change of variable:
   case for every integrand in this package.
 
 The trapezoid step starts at ``h = 1`` and is halved per refinement level
-("variable doubling").  Convergence is declared when two successive levels
-agree within ``max(abs_tol, rel_tol * |I|)``, i.e. whichever tolerance is
-looser; the achieved level difference is reported as the error estimate.
+("variable doubling").  The rules are nested: each level keeps the previous
+level's sum and evaluates only the new odd nodes (Takahashi & Mori 1974;
+Bailey, Jeyabalan & Li, Exp. Math. 14, 2005).  Convergence is declared when
+two successive levels agree within ``max(abs_tol, rel_tol * |I|)``, i.e.
+whichever tolerance is looser, but never before ``h = 1/4``; the achieved
+level difference is reported as the error estimate.
+
+An integrand may return a list of floats instead of a float.  All components
+are then integrated on one node set, a level is accepted only when every
+component meets its tolerance, and the result's value and error are lists.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from operator import add, mul
+from typing import Callable, List, NamedTuple, Optional, Sequence, Union
 
 __all__ = [
     "QuadratureSpec",
@@ -37,11 +45,19 @@ _T_MAX = 6.8
 # A side of the sweep may not stop before |t| reaches this, so that sharply
 # peaked integrands (mass far from t = 0) are never truncated prematurely.
 _T_MIN_SWEEP = 2.0
+# No level coarser than h = 1/4 is accepted: a narrow peak can fall between the
+# nodes of both h = 1 and h = 1/2, whose sums then agree on a wrong value.
+_MIN_LEVEL = 2
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances and refinement budget for the adaptive integrators."""
+    """Tolerances and refinement budget for the adaptive integrators.
+
+    Frozen and hashable, so that it can key caches of integrated values.
+    No level before the second refinement is accepted, so a budget of one
+    refinement always raises :class:`QuadratureError`.
+    """
 
     abs_tol: float = 1e-12
     rel_tol: float = 1e-10
@@ -58,19 +74,25 @@ DEFAULT_SPEC = QuadratureSpec()
 
 
 class QuadResult(NamedTuple):
-    value: float
-    error: float  # estimate: difference of the last two refinement levels
+    # floats for a scalar integrand, lists of floats for a vector integrand
+    value: Union[float, List[float]]
+    error: Union[float, List[float]]  # estimate: difference of the last two levels
     levels: int  # refinement levels actually used
 
 
 class QuadratureError(RuntimeError):
     """Raised when the refinement budget is exhausted.
 
-    Carries the best estimate and its error bound for diagnostics.
+    Carries the best estimate and its error bound for diagnostics (lists for
+    a vector integrand).
     """
 
-    def __init__(self, message: str, best: float, error: float):
-        super().__init__(f"{message} (best estimate {best!r}, error bound {error!r})")
+    def __init__(self, message: str, best, error):
+        if isinstance(error, list):
+            detail = f"{len(error)} components, largest error bound {max(error)!r}"
+        else:
+            detail = f"best estimate {best!r}, error bound {error!r}"
+        super().__init__(f"{message} ({detail})")
         self.best = best
         self.error = error
 
@@ -102,58 +124,85 @@ def _semiline_node(t: float):
     return x, (math.pi / 2.0) * math.cosh(t) * x
 
 
-def _trapezoid_sweep(
-    node: Callable[[float], Optional[tuple]],
-    f: Callable[[float], float],
-    h: float,
-) -> float:
-    """Sum h * f(x(kh)) x'(kh) over k, sweeping each side until the tail dies.
+def _side_sweep(node, f, h: float, k: int, stride: int, sign: int) -> List[float]:
+    """Per-component sums of x'(t) f(x(t)) over t = sign*k*h, stepping k by
+    ``stride``, until the tail of every component has died.
 
-    A side stops once a nonzero contribution has been seen, the running
-    contribution has dropped 18 orders of magnitude below the largest one,
-    and |t| is past the minimum sweep length.  Zero stretches before the
-    integrand's support (sharply peaked integrands) are skipped over.
+    A side stops once |t| is past the minimum sweep length and, for every
+    component, a nonzero contribution has been seen and the running
+    contribution has dropped 18 orders of magnitude below the largest one.
+    Zero stretches before the integrand's support (sharply peaked integrands)
+    are skipped over.  The first node lies at |t| <= 1, inside both
+    transforms' range, so every side contributes at least one node.
     """
-    total = 0.0
-    for side in (1, -1):
-        k = 0 if side == 1 else 1
-        largest = 0.0
-        while True:
-            t = side * k * h
-            if abs(t) > _T_MAX:
+    weights: List[float] = []
+    rows: List[Sequence[float]] = []
+    largest: Optional[List[float]] = None
+    while True:
+        t = sign * k * h
+        if abs(t) > _T_MAX:
+            break
+        nw = node(t)
+        if nw is None:
+            break
+        x, dxdt = nw
+        row = f(x)
+        weights.append(dxdt)
+        rows.append(row)
+        if abs(t) >= _T_MIN_SWEEP:
+            mags = [abs(dxdt * v) for v in row]
+            if largest is None:
+                largest = [max(map(abs, map(mul, weights, col))) for col in zip(*rows)]
+            else:
+                largest = list(map(max, largest, mags))
+            if all(top > 0.0 and mag <= 1e-18 * top for mag, top in zip(mags, largest)):
                 break
-            nw = node(t)
-            if nw is None:
-                break
-            x, dxdt = nw
-            c = dxdt * f(x)
-            total += c
-            mag = abs(c)
-            if mag > largest:
-                largest = mag
-            if largest > 0.0 and mag <= 1e-18 * largest and abs(t) >= _T_MIN_SWEEP:
-                break
-            k += 1
-    return total * h
+        k += stride
+    return [sum(map(mul, weights, col)) for col in zip(*rows)]
 
 
 def _integrate(node, f, spec: QuadratureSpec, name: str) -> QuadResult:
+    """Nested trapezoid refinement of a scalar or vector integrand.
+
+    Level 0 sums every node of step h = 1; level L adds only the odd nodes of
+    step h = 2^-L, so each node is evaluated once.  Level L is accepted when
+    L >= _MIN_LEVEL and every component agrees with level L - 1 within
+    ``max(abs_tol, rel_tol * |I|)``.
+    """
+    x0, dx0 = node(0.0)
+    first = f(x0)
+    vector = isinstance(first, (list, tuple))
+    if not vector:
+        scalar = f
+        first = (first,)
+
+        def f(x):
+            return (scalar(x),)
+
+    raw = [dx0 * v for v in first]
     h = 1.0
-    prev: Optional[float] = None
-    err = math.inf
-    value = 0.0
+    prev: Optional[List[float]] = None
+    err = [math.inf] * len(raw)
+    value = raw
     for level in range(spec.max_refinements + 1):
-        value = _trapezoid_sweep(node, f, h)
+        if level:
+            h *= 0.5
+        for sign in (1, -1):
+            raw = list(map(add, raw, _side_sweep(node, f, h, 1, 2 if level else 1, sign)))
+        value = [h * r for r in raw]
         if prev is not None:
-            err = abs(value - prev)
-            if err <= max(spec.abs_tol, spec.rel_tol * abs(value)):
-                return QuadResult(value, err, level)
+            err = [abs(v - q) for v, q in zip(value, prev)]
+            if level >= _MIN_LEVEL and all(
+                e <= max(spec.abs_tol, spec.rel_tol * abs(v)) for e, v in zip(err, value)
+            ):
+                if vector:
+                    return QuadResult(value, err, level)
+                return QuadResult(value[0], err[0], level)
         prev = value
-        h *= 0.5
     raise QuadratureError(
         f"{name}: no convergence after {spec.max_refinements} refinements",
-        best=value,
-        error=err,
+        best=value if vector else value[0],
+        error=err if vector else err[0],
     )
 
 
@@ -161,8 +210,9 @@ def integrate_unit(f: Callable[[float], float], spec: QuadratureSpec = DEFAULT_S
     """Integrate ``f`` over the open interval (0, 1).
 
     ``f`` is only ever called with ``0 < w < 1``; integrable endpoint
-    singularities are fine.  Returns value, error estimate and level count;
-    raises :class:`QuadratureError` if the refinement budget runs out.
+    singularities are fine.  ``f`` may return a float or a list of floats.
+    Returns value, error estimate and level count; raises
+    :class:`QuadratureError` if the refinement budget runs out.
     """
     return _integrate(_unit_node, f, spec, "integrate_unit")
 

@@ -12,10 +12,12 @@ from anires import (
     approximant_to_json,
     basis_integral,
     basis_integral_tform,
+    basis_integrals,
     basis_series_coefficient,
     borel_coefficients,
     build_approximant,
     model_large_order_params,
+    qm_approximant,
     reexpansion_check,
     resum,
     z_coeff,
@@ -226,3 +228,75 @@ class TestApproximant:
                 target = float(mc.table.entry(k, n))
                 worst = max(worst, abs(rec - target) / max(1.0, abs(target)))
         assert worst <= 1e-10
+
+
+class TestSharedNodeBasis:
+    def test_vector_matches_scalar(self):
+        # mixed columns, a gap in p within a column, and input order kept
+        specs = [model_spec(5, 2), model_spec(0, 0), model_spec(2, 2), model_spec(3, 0),
+                 model_spec(7, 7)]
+        for g in (0.05, 1.0, 20.0):
+            got = basis_integrals(specs, g, TIGHT)
+            for spec, value in zip(specs, got):
+                assert value == pytest.approx(basis_integral_tform(spec, g, TIGHT), rel=1e-10)
+
+    def test_small_coupling_series_branch(self):
+        specs = [model_spec(0, 0), model_spec(1, 1)]
+        assert basis_integrals(specs, 1e-5, TIGHT) == [
+            basis_integral(spec, 1e-5, TIGHT) for spec in specs
+        ]
+
+    def test_specs_must_share_sigma_and_alpha(self):
+        other = BorelBasisSpec(p=0, b0=Fraction(1), alpha=Fraction(-1, 2), sigma=Fraction(3))
+        with pytest.raises(ValueError):
+            basis_integrals([model_spec(0, 0), other], 1.0)
+
+    def test_basis_value_accessor(self, model_approx_12):
+        # a nonzero a_pn reads the memoized vector; a zero one is computed alone
+        g = 0.8
+        for p, n in ((3, 3), (5, 2)):
+            want = basis_integral_tform(model_approx_12.basis_spec(p, n), g)
+            assert model_approx_12.basis_value(p, n, g) == pytest.approx(want, rel=1e-10)
+
+
+# Couplings at which a lone default-spec basis integral once accepted h = 1/2
+# while the peak of its integrand still fell between the nodes.
+FALSE_CONVERGENCE = [
+    (0.10975430650094, 12, 1),
+    (0.08791703157350009, 11, 4),
+    (0.09142512809881138, 12, 3),
+]
+
+
+class TestFalseConvergence:
+    @pytest.fixture(scope="class")
+    def qm_approx(self, qm_table):
+        return qm_approximant(qm_table, 12)
+
+    @pytest.mark.parametrize("gbar,p,n", FALSE_CONVERGENCE)
+    def test_basis_values_match_tform(self, qm_approx, gbar, p, n):
+        spec = qm_approx.basis_spec(p, n)
+        want = basis_integral_tform(spec, gbar)
+        assert basis_integral(spec, gbar) == pytest.approx(want, rel=1e-10)
+        assert qm_approx.basis_value(p, n, gbar) == pytest.approx(want, rel=1e-10)
+
+    @pytest.mark.parametrize("gbar", [gbar for gbar, _, _ in FALSE_CONVERGENCE])
+    def test_resum_matches_tform_recombination(self, qm_approx, gbar):
+        tform = {key: basis_integral_tform(qm_approx.basis_spec(*key), gbar)
+                 for key, coeff in qm_approx.a.items() if coeff}
+        for y in (-2.0, 1.0, 3.0):
+            want = sum(float(qm_approx.a[key]) * value * y ** key[1]
+                       for key, value in tform.items())
+            assert qm_approx.resum(gbar, y) == pytest.approx(want, rel=1e-8)
+
+
+def test_cache_keyed_by_quadrature_spec():
+    # a loose evaluation must not be served to a later tight one at the same g
+    mc = ModelCoefficients.build(8)
+    params = model_large_order_params()
+    tight = QuadratureSpec(1e-14, 1e-14, 14)
+    approx = build_approximant(mc.table, 8, params)
+    approx.resum(1.0, 0.5, QuadratureSpec(abs_tol=1e-3, rel_tol=1e-3))
+    got = approx.resum(1.0, 0.5, tight)
+    assert got == build_approximant(mc.table, 8, params).resum(1.0, 0.5, tight)
+    assert got == pytest.approx(0.5677730315808759, rel=1e-12)

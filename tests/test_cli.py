@@ -148,6 +148,15 @@ class TestQmResum:
         resummed, baseline = float(rows[1][1]), float(rows[1][2])
         assert abs(resummed - baseline) / baseline < 0.008
 
+    def test_raw_g_applies_to_vpt_baseline(self, tmp_path):
+        # --g4 0.4 --raw-g is g/4 = 0.1: both columns match the --g4 0.1 run
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        args = ["qm-resum", "--delta", "0.5", "--order", "6", "--vpt-baseline", "11"]
+        assert main(args + ["--g4", "0.4", "--raw-g", "--out", str(a)]) == 0
+        assert main(args + ["--g4", "0.1", "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+        assert float(read_csv(a)[1][2]) == pytest.approx(1.134736659110728, rel=1e-12)
+
     def test_sigma_flag(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         main(["qm-resum", "--g4", "0.1", "--delta=-1.5", "--order", "6",
@@ -195,6 +204,15 @@ class TestFigures:
         main(["figures", "--which", "fig8", "--out", str(a)])
         main(["figures", "--which", "fig8", "--sigma", "3", "--out", str(b)])
         assert a.read_bytes() != b.read_bytes()
+
+    def test_raw_g_flag(self, tmp_path):
+        # fig7 defaults to g/4 = 1/10; --g4 0.4 means g/4 = 0.4 without --raw-g
+        a, b, c = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "c.csv"
+        main(["figures", "--which", "fig7", "--out", str(a)])
+        main(["figures", "--which", "fig7", "--g4", "0.4", "--raw-g", "--out", str(b)])
+        main(["figures", "--which", "fig7", "--g4", "0.4", "--out", str(c)])
+        assert a.read_bytes() == b.read_bytes()
+        assert a.read_bytes() != c.read_bytes()
 
     def test_fig7_schema(self, tmp_path):
         out = tmp_path / "f.csv"

@@ -60,11 +60,12 @@ def test_error_estimate_reported():
 
 
 def test_tolerance_looser_wins():
-    # huge abs_tol converges immediately even though rel_tol is tiny
+    # huge abs_tol converges at the first level that may be accepted (h = 1/4)
+    # even though rel_tol is tiny
     spec = QuadratureSpec(abs_tol=1.0, rel_tol=1e-300, max_refinements=3)
     res = integrate_semiline(lambda t: math.exp(-t), spec)
     assert abs(res.value - 1.0) < 1e-2
-    assert res.levels <= 1
+    assert res.levels == 2
 
 
 def test_nonconvergence_raises_with_best_estimate():
@@ -89,3 +90,28 @@ def test_peaked_integrand_far_from_center():
 
     res = integrate_unit(f, TIGHT)
     assert res.value == pytest.approx(2e-4 * math.sqrt(math.pi), rel=1e-6)
+
+
+def test_vector_integrand_matches_battery():
+    fs = [f for f, _ in UNIT_CASES]
+    res = integrate_unit(lambda w: [f(w) for f in fs], TIGHT)
+    assert len(res.value) == len(res.error) == len(fs)
+    for value, (f, exact) in zip(res.value, UNIT_CASES):
+        assert value == pytest.approx(exact, rel=1e-11, abs=1e-12)
+
+
+def test_vector_waits_for_every_component():
+    def peaked(w):
+        return math.exp(-((w - 1e-3) / 2e-4) ** 2)
+
+    alone = integrate_unit(peaked, TIGHT)
+    both = integrate_unit(lambda w: [1.0, peaked(w)], TIGHT)
+    assert both.levels >= alone.levels > integrate_unit(lambda w: 1.0, TIGHT).levels
+    assert both.value[1] == pytest.approx(alone.value, rel=1e-10)
+
+
+def test_vector_nonconvergence_raises_with_lists():
+    spec = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-13, max_refinements=3)
+    with pytest.raises(QuadratureError) as err:
+        integrate_unit(lambda w: [1.0, math.sin(50.0 / (w + 0.01))], spec)
+    assert len(err.value.best) == len(err.value.error) == 2
