@@ -58,7 +58,7 @@ from .borel import (
     reexpansion_check,
     resum,
 )
-from .benderwu import BwState, build as benderwu_build, energy_series
+from .benderwu import BwState, build as benderwu_build
 from .qm import (
     QmLargeOrder,
     qm_approximant,

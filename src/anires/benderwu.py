@@ -21,28 +21,38 @@ into a closed difference equation for the A coefficients,
 
 with e_{lm} = A^{lm}_{10} + A^{lm}_{01} and the energy extracted as
 E_kn = -(-1)^k e_{kn}.  Support: A^{kn}_{ij} = 0 for i or j above 2k-n, for
-any negative index, and for k < n; initialization A^{kn}_{00} = delta_{k0}
+i+j above 2k (each order raises the degree in r^2 by at most two), for any
+negative index, and for k < n; initialization A^{kn}_{00} = delta_{k0}
 delta_{n0}.
 
-Each (k, n) block is filled with the total degree s = i+j descending from
-2(2k-n) to 1, so every right-hand side reference is either already computed
-(larger s in the same block) or belongs to an earlier block; the i=j=0
-equation has a vanishing left side and is kept as a consistency identity
-whose residual is asserted to be exactly zero.  All arithmetic is exact
-rational.
+Storage is integer: block (k, n) is a list of rows of Python ints N[i][j]
+(row i ends at j = min(2k-n, 2k-i)) over one denominator D_kn, so that
+A^{kn}_{ij} = N[i][j] / D_kn.  The terms from earlier blocks enter with one
+integer factor per feeding block over Q, the lcm of their denominators; the
+l = k terms multiply A^{0,n-m}_{ij} = 0 for i+j >= 1 and are skipped.  The
+block is then filled with the total degree s = i+j descending from 2k to 1,
+each entry carried over Q T_s with T_s = prod_{t=s}^{2k} 2t, so the loop
+does no gcd; one gcd over the whole block reduces it at the end.  The
+result A is a dict of reduced Fractions.
+
+Checks: the x <-> y symmetry N[i][j] == N[j][i] of the potential is
+asserted over every whole block.  The i=j=0 equation has a vanishing left
+side, and since A^{kn}_{00} = 0 for (k, n) != (0, 0) its residual is
+e_kn - e_kn: it restates the definition of e_kn.  It is asserted to be
+exactly zero all the same.  The independent check of the n = 0 column is
+the isotropic radial recursion in the tests.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Tuple
 
 from .series import CoefficientTable
 
-__all__ = ["BwState", "build", "energy_series"]
-
-_ZERO = Fraction(0)
+__all__ = ["BwState", "build"]
 
 
 @dataclass(frozen=True)
@@ -58,77 +68,58 @@ def build(kmax: int) -> BwState:
     """Run the recursion through order kmax; pure exact arithmetic."""
     if kmax < 0:
         raise ValueError("kmax must be >= 0")
-    A: Dict[Tuple[int, int, int, int], Fraction] = {(0, 0, 0, 0): Fraction(1)}
-    e_sum: Dict[Tuple[int, int], Fraction] = {(0, 0): _ZERO}
+    blocks = {(0, 0): ([[1]], 1)}  # (k, n) -> (rows N, D_kn)
+    e: Dict[Tuple[int, int], Fraction] = {}
     energies: Dict[Tuple[int, int], Fraction] = {(0, 0): Fraction(1)}
-
-    def a(i: int, j: int, k: int, n: int) -> Fraction:
-        if i < 0 or j < 0 or k < 0 or n < 0 or k < n:
-            return _ZERO
-        if i > 2 * k - n or j > 2 * k - n:
-            return _ZERO
-        return A.get((i, j, k, n), _ZERO)
-
-    for k in range(kmax + 1):
+    for k in range(1, kmax + 1):
         for n in range(k + 1):
-            if (k, n) == (0, 0):
-                continue
             lim = 2 * k - n
-            for s in range(2 * lim, 0, -1):
+            # feeding blocks: (numerator, denominator, block, row shift, column shift)
+            feed = [(-v.numerator, v.denominator, (k - l, n - m), 0, 0)
+                    for (l, m), v in e.items() if l < k and 0 <= n - m <= k - l]
+            if n < k:
+                feed += [(c, 1, (k - 1, n), di, dj)
+                         for c, di, dj in ((1, 2, 0), (1, 0, 2), (2, 1, 1))]
+            if n:
+                feed.append((-1, 1, (k - 1, n - 1), 1, 1))
+            Q = math.lcm(*(d * blocks[src][1] for _, d, src, _, _ in feed))
+            M = [[0] * (lim + 2) for _ in range(lim + 2)]  # Q * external terms, zero-padded
+            for c, d, src, di, dj in feed:
+                rows, D = blocks[src]
+                f = c * (Q // (d * D))
+                for i, row in enumerate(rows, di):
+                    t = M[i]
+                    t[dj:dj + len(row)] = [x + f * y for x, y in zip(t[dj:], row)]
+            T = 1  # T_{s+1}; M[i][j] becomes A_ij * Q * T_s
+            for s in range(2 * k, 0, -1):
                 for i in range(min(lim, s), max(0, s - lim) - 1, -1):
-                    j = s - i
-                    value = (
-                        (2 * i + 1) * (i + 1) * a(i + 1, j, k, n)
-                        + (2 * j + 1) * (j + 1) * a(i, j + 1, k, n)
-                        + a(i - 2, j, k - 1, n)
-                        + a(i, j - 2, k - 1, n)
-                        + 2 * a(i - 1, j - 1, k - 1, n)
-                        - a(i - 1, j - 1, k - 1, n - 1)
-                    )
-                    # The l = k (and l = k, m = n) terms multiply A^{00}_{ij},
-                    # which vanishes for i+j >= 1, so e_sum of the current
-                    # block is never needed here; factors are checked first.
-                    for l in range(1, k + 1):
-                        f0 = a(i, j, k - l, n)
-                        if f0:
-                            value -= e_sum[(l, 0)] * f0
-                        for m in range(1, n + 1):
-                            if l < m:
-                                continue
-                            fm = a(i, j, k - l, n - m)
-                            if fm:
-                                value -= e_sum[(l, m)] * fm
-                    if value:
-                        assert i <= lim and j <= lim  # support bound on write
-                        A[(i, j, k, n)] = value / (2 * s)
-            a10 = a(1, 0, k, n)
-            a01 = a(0, 1, k, n)
-            # x <-> y symmetry of the potential; asserted, not assumed
-            assert a10 == a01, f"A10 != A01 at (k,n)=({k},{n})"
-            e_kn = a10 + a01
-            e_sum[(k, n)] = e_kn
-
-            # i = j = 0: the left side 2(i+j) A_00 vanishes; the equation is a
-            # consistency identity whose residual must be exactly zero.
-            residual = a(1, 0, k, n) + a(0, 1, k, n)
-            for l in range(1, k + 1):
-                f0 = a(0, 0, k - l, n)
-                if f0:
-                    residual -= e_sum[(l, 0)] * f0
-                for m in range(1, n + 1):
-                    if l < m:
-                        continue
-                    fm = a(0, 0, k - l, n - m)
-                    if fm:
-                        residual -= e_sum[(l, m)] * fm
+                    j, r = s - i, M[i]
+                    r[j] = (r[j] * T + (2 * i + 1) * (i + 1) * M[i + 1][j]
+                            + (2 * j + 1) * (j + 1) * r[j + 1])
+                T *= 2 * s
+            scale = [1, 1]  # T_1 / T_s
+            for s in range(1, 2 * k):
+                scale.append(scale[-1] * 2 * s)
+            N = [[M[i][j] * scale[i + j] for j in range(min(lim, 2 * k - i) + 1)]
+                 for i in range(lim + 1)]
+            del M
+            g = math.gcd(Q * T, *(x for row in N for x in row))
+            N = [[x // g for x in row] for row in N]
+            D = Q * T // g
+            assert all(x == N[j][i] for i, row in enumerate(N) for j, x in enumerate(row)), \
+                f"A not symmetric at (k,n)=({k},{n})"
+            e[k, n] = e_kn = Fraction(N[1][0] + N[0][1], D)
+            residual = e_kn  # the i = j = 0 row, see the module docstring
+            for (l, m), v in e.items():
+                rows, d = blocks.get((k - l, n - m), ([[0]], 1))
+                if rows[0][0]:
+                    residual -= v * Fraction(rows[0][0], d)
             assert residual == 0, f"i=j=0 identity violated at (k,n)=({k},{n})"
-
-            energies[(k, n)] = -((-1) ** k) * e_kn
-
-    table = CoefficientTable(energies, kmax)
-    return BwState(A=A, energy=table, kmax=kmax)
-
-
-def energy_series(state: BwState) -> CoefficientTable:
-    """The energy table; entry (l, m) multiplies (g/4)^l (2 d)^m."""
-    return state.energy
+            blocks[k, n] = N, D
+            energies[k, n] = -((-1) ** k) * e_kn
+    A = {}
+    for k, n in list(blocks):  # each block is dropped once it is converted
+        rows, D = blocks.pop((k, n))
+        A.update(((i, j, k, n), Fraction(x, D)) for i, row in enumerate(rows)
+                 for j, x in enumerate(row) if x)
+    return BwState(A=A, energy=CoefficientTable(energies, kmax), kmax=kmax)

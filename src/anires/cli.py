@@ -7,7 +7,8 @@ entered as g/4 (every figure and table is parameterized that way); --raw-g
 switches the flag value to raw g, in every command that takes --g4.
 
 Exit status is 0 only if every requested grid point evaluated successfully;
-failures are listed on stderr and flip the status to 1.
+failures are listed on stderr and flip the status to 1.  A reader that closes
+stdout early (`anires ... | head`) also gives status 1, without a traceback.
 
 Environment: ANIRES_QUAD_TOL overrides the default quadrature tolerance.
 """
@@ -406,7 +407,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        status = args.fn(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early (`anires ... | head`).  Point stdout at
+        # devnull so the flush at exit cannot raise again (Python docs, "Note on
+        # SIGPIPE") and fail without a traceback.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return status
 
 
 if __name__ == "__main__":

@@ -1,10 +1,11 @@
+import hashlib
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from anires import benderwu_build, energy_series
+from anires import benderwu_build
 
 from fixtures_tables import TABLE1_EXACT
 
@@ -78,7 +79,7 @@ class TestEnergySeries:
     def test_first_order_gaussian_moment_oracle(self, bw_state):
         # <V> in the product ground state: <x^4> = 3/4, <x^2 y^2> = 1/4
         # so E(g, d) = 1 + (g/4)(2 - d/2) + O(g^2): E_10 = 2, E_11 = -1/4
-        table = energy_series(bw_state)
+        table = bw_state.energy
         x4 = Fraction(3, 4)
         x2y2 = Fraction(1, 4)
         # potential (g/4)[x^4 + 2(1-d) x^2 y^2 + y^4]: coefficient of (g/4):
@@ -129,3 +130,49 @@ def test_kmax_zero():
     state = benderwu_build(0)
     assert state.energy.entry(0, 0) == 1
     assert len(state.energy) == 1
+
+
+@pytest.fixture(scope="module")
+def bw_state_20():
+    return benderwu_build(20)
+
+
+def isotropic_energies(kmax):
+    """E_k0 from the radial problem of the isotropic oscillator (d = 0).
+
+    With u = r^2 and Psi = exp(-u/2) sum_k (g/4)^k P_k(u), P_k = sum_i c^k_i u^i,
+    P_0 = 1 and c^k_0 = 0 for k >= 1, the order-k equation reads
+    2i c^k_i = 2(i+1)^2 c^k_{i+1} - c^{k-1}_{i-2} + sum_{l=1}^{k-1} eps_l c^{k-l}_i
+    for i >= 1, and its i = 0 row gives eps_k = -2 c^k_1 = E_k0.
+    """
+    c = [[Fraction(1)]]
+    eps = [Fraction(1)]
+
+    def coeff(k, i):
+        return c[k][i] if 0 <= i < len(c[k]) else 0
+
+    for k in range(1, kmax + 1):
+        ck = [Fraction(0)] * (2 * k + 2)
+        for i in range(2 * k, 0, -1):
+            rhs = 2 * (i + 1) ** 2 * ck[i + 1] - coeff(k - 1, i - 2)
+            rhs += sum(eps[l] * coeff(k - l, i) for l in range(1, k))
+            ck[i] = rhs / (2 * i)
+        c.append(ck[:-1])
+        eps.append(-2 * ck[1])
+    return eps
+
+
+def test_isotropic_column_against_radial_recursion(bw_state_20):
+    # independent of the two-dimensional recursion: only the r^2 polynomial
+    for k, expected in enumerate(isotropic_energies(20)):
+        assert bw_state_20.energy.entry(k, 0) == expected, k
+
+
+def test_kmax20_table_pinned(bw_state_20):
+    # digest of the kmax-20 energy table and size of A, recorded from the
+    # Fraction-dict recursion that the integer-block recursion replaced
+    lines = "".join(f"{k},{n},{v.numerator},{v.denominator}\n"
+                    for (k, n), v in bw_state_20.energy.items())
+    assert hashlib.sha256(lines.encode()).hexdigest() == (
+        "b46dcc490d3c4b870d84b08d08d0fbe8f7ed06d6b8f7e0baafa91cd69d515038")
+    assert len(bw_state_20.A) == 85471

@@ -1,9 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import anires
 from anires.cli import main
 
 from fixtures_tables import TABLE1_EXACT
@@ -256,3 +260,21 @@ def test_quad_tol_env_override(tmp_path, monkeypatch):
     assert main(["model-eval", "--g4", "0.25", "--delta", "0", "--out", str(out)]) == 0
     rows = read_csv(out)
     assert float(rows[1][1]) == pytest.approx(0.5456413607650471, abs=1e-5)
+
+
+def test_closed_stdout_exits_quietly():
+    # the reader is gone before any row is written, as with `anires ... | head -1`:
+    # exit status 1 and nothing on stderr, no BrokenPipeError traceback
+    src = os.path.dirname(os.path.dirname(anires.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import sys; from anires.cli import main; sys.exit(main(['qm-coeffs', '--kmax', '12']))"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-c", code], stdout=write_end,
+                              stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=path),
+                              timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == b""
