@@ -23,8 +23,6 @@ from .quadrature import (
     integrate_unit,
 )
 from .series import (
-    AffineInN,
-    BigRational,
     CoefficientTable,
     CrossoverReport,
     LargeOrderParams,
@@ -34,6 +32,7 @@ from .series import (
 from .model import (
     ModelCoefficients,
     ImaginaryPartTerm,
+    gamma_n,
     imaginary_part,
     imaginary_part_terms,
     large_order_estimate,
@@ -56,17 +55,15 @@ from .borel import (
     borel_coefficients,
     build_approximant,
     reexpansion_check,
-    resum,
 )
 from .benderwu import BwState, build as benderwu_build
 from .qm import (
-    QmLargeOrder,
     qm_approximant,
+    qm_gamma_n,
     qm_imaginary_part,
     qm_imaginary_terms,
     qm_large_order_estimate,
     qm_large_order_params,
-    resum_energy,
 )
 from .vpt import (
     LaurentInOmega,

@@ -61,7 +61,6 @@ class BwState:
 
     A: Dict[Tuple[int, int, int, int], Fraction]  # (i, j, k, n) -> value
     energy: CoefficientTable  # (k, n) -> E_kn
-    kmax: int
 
 
 def build(kmax: int) -> BwState:
@@ -122,4 +121,4 @@ def build(kmax: int) -> BwState:
         rows, D = blocks.pop((k, n))
         A.update(((i, j, k, n), Fraction(x, D)) for i, row in enumerate(rows)
                  for j, x in enumerate(row) if x)
-    return BwState(A=A, energy=CoefficientTable(energies, kmax), kmax=kmax)
+    return BwState(A=A, energy=CoefficientTable(energies, kmax))

@@ -67,7 +67,6 @@ __all__ = [
     "basis_integrals",
     "basis_integral_tform",
     "build_approximant",
-    "resum",
     "reexpansion_check",
     "approximant_to_json",
     "SMALL_SIGMA_G",
@@ -120,7 +119,7 @@ def borel_coefficients(
     """
     if len(column) != N - n + 1:
         raise ValueError(f"column must cover k = {n}..{N} ({N - n + 1} entries)")
-    b0 = params.b0_of_n(n)
+    b0 = n + params.b0_offset
     sigma = Fraction(params.sigma)
     alpha = Fraction(params.alpha)
     four_over_sigma = 4 / sigma
@@ -345,7 +344,7 @@ class ResummedApproximant:
     def basis_spec(self, p: int, n: int) -> BorelBasisSpec:
         return BorelBasisSpec(
             p=p,
-            b0=self.params.b0_of_n(n),
+            b0=n + self.params.b0_offset,
             alpha=Fraction(self.params.alpha),
             sigma=Fraction(self.params.sigma),
         )
@@ -392,12 +391,6 @@ def build_approximant(
     return ResummedApproximant(N=N, a=a, params=params, input_table=table)
 
 
-def resum(approx: ResummedApproximant, g: float, delta: float,
-          quad: QuadratureSpec = DEFAULT_SPEC) -> float:
-    """Evaluate the approximant at coupling g and anisotropy variable delta."""
-    return approx.resum(g, delta, quad)
-
-
 def reexpansion_check(approx: ResummedApproximant) -> Union[Fraction, float]:
     """Max relative residual of sum_p I^p_k a_pn against the input c_kn.
 
@@ -426,14 +419,13 @@ def reexpansion_check(approx: ResummedApproximant) -> Union[Fraction, float]:
 def approximant_to_json(approx: ResummedApproximant) -> str:
     """Serialize {N, sigma, alpha, b0_offset, a:[{p,n,numerator,denominator}]}.
 
-    Rationals are emitted as exact strings; the b0 convention is recorded via
-    the affine offset (the slope in n is 1 for both applications).
+    Rationals are emitted as exact strings; b0(n) = n + b0_offset.
     """
     doc = {
         "N": approx.N,
         "sigma": str(Fraction(approx.params.sigma)),
         "alpha": str(Fraction(approx.params.alpha)),
-        "b0_offset": str(approx.params.b0_of_n(0)),
+        "b0_offset": str(approx.params.b0_offset),
         "a": [
             {
                 "p": p,

@@ -21,12 +21,12 @@ import json
 import os
 import sys
 from fractions import Fraction
-from typing import List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from . import benderwu, model, qm, vpt
 from .borel import approximant_to_json, build_approximant
 from .quadrature import QuadratureSpec
-from .series import local_exponent
+from .series import CoefficientTable, local_exponent
 
 _CROSSOVER_NOTE = (
     "note: k_cross is the first grid point whose incoming local slope has "
@@ -123,36 +123,67 @@ def _delta_grid(args) -> List[Fraction]:
     return [Fraction(args.delta)]
 
 
+def _run_grid(args, header: Sequence[str], evaluate: Callable[..., tuple],
+              points: Sequence[Dict[str, object]]) -> int:
+    """Write the row ``evaluate(**point)`` of every grid point, sorted.
+
+    A point that raises is left out and listed on stderr as a FAILED line;
+    the status is then 1.
+    """
+    rows, failures = [], []
+    for point in points:
+        try:
+            rows.append(evaluate(**point))
+        except Exception as exc:  # one bad point must not cost the others
+            where = ", ".join(f"{name}={float(v) if isinstance(v, Fraction) else v}"
+                              for name, v in point.items())
+            failures.append(f"{where}: {exc}")
+    _write_rows(args.out, header, sorted(rows), args.format)
+    for line in failures:
+        print(f"FAILED {line}", file=sys.stderr)
+    return 1 if failures else 0
+
+
+def _write_table(args, table: CoefficientTable, decimal: bool) -> int:
+    """The exact entries k, n, numerator, denominator (and decimal) of a table."""
+    header = ["k", "n", "numerator", "denominator"] + (["decimal"] if decimal else [])
+    rows = [(k, n, str(v.numerator), str(v.denominator))
+            + ((_fraction_decimal(v),) if decimal else ())
+            for (k, n), v in table.items()]
+    _write_rows(args.out, header, rows, args.format)
+    return 0
+
+
+def _dump_approximant(args, approx) -> None:
+    if args.dump_approximant:
+        with open(args.dump_approximant, "w") as fh:
+            fh.write(approximant_to_json(approx))
+
+
 # ---------------------------------------------------------------- commands
 
 
 def cmd_model_coeffs(args) -> int:
-    mc = model.ModelCoefficients.build(args.kmax)
-    rows = [
-        (k, n, str(v.numerator), str(v.denominator), _fraction_decimal(v))
-        for (k, n), v in mc.table.items()
-    ]
-    _write_rows(args.out, ["k", "n", "numerator", "denominator", "decimal"], rows, args.format)
-    return 0
+    return _write_table(args, model.ModelCoefficients.build(args.kmax).table, decimal=True)
 
 
 def cmd_qm_coeffs(args) -> int:
-    state = benderwu.build(args.kmax)
-    rows = [
-        (k, n, str(v.numerator), str(v.denominator), _fraction_decimal(v))
-        for (k, n), v in state.energy.items()
-    ]
-    _write_rows(args.out, ["k", "n", "numerator", "denominator", "decimal"], rows, args.format)
-    return 0
+    return _write_table(args, benderwu.build(args.kmax).energy, decimal=True)
+
+
+def cmd_benderwu(args) -> int:
+    return _write_table(args, benderwu.build(args.kmax).energy, decimal=False)
 
 
 def cmd_model_eval(args) -> int:
     spec = _quad_spec(args.tol)
     g = 4.0 * float(_g4_value(args))
-    deltas = _delta_grid(args)
-    rows = [(float(d), model.z_reference(g, float(d), spec)) for d in deltas]
-    _write_rows(args.out, ["delta", "z_reference"], rows, args.format)
-    return 0
+    points = [{"delta": d} for d in _delta_grid(args)]
+
+    def one(delta):
+        return float(delta), model.z_reference(g, float(delta), spec)
+
+    return _run_grid(args, ["delta", "z_reference"], one, points)
 
 
 def cmd_model_crossover(args) -> int:
@@ -179,91 +210,52 @@ def cmd_model_resum(args) -> int:
     spec = _quad_spec(args.tol)
     g = 4.0 * float(_g4_value(args))
     N = args.order
-    deltas = _delta_grid(args)
+    points = [{"delta": d} for d in _delta_grid(args)]
     mc = model.ModelCoefficients.build(N)
     approx = build_approximant(mc.table, N, model.model_large_order_params())
-    if args.dump_approximant:
-        with open(args.dump_approximant, "w") as fh:
-            fh.write(approximant_to_json(approx))
+    _dump_approximant(args, approx)
 
-    failures: List[str] = []
+    def one(delta):
+        df = float(delta)
+        zn = approx.resum(g, df, spec)
+        zr = model.z_reference(g, df, spec)
+        return df, zn, zr, abs(zn - zr)
 
-    def one(d: Fraction):
-        df = float(d)
-        try:
-            zn = approx.resum(g, df, spec)
-            zr = model.z_reference(g, df, spec)
-            return (df, zn, zr, abs(zn - zr))
-        except Exception as exc:  # propagate per-point failure to stderr
-            failures.append(f"delta={df}: {exc}")
-            return None
-
-    results = [r for r in map(one, deltas) if r is not None]
-    _write_rows(args.out, ["delta", "z_resummed", "z_reference", "abs_error"],
-                sorted(results), args.format)
-    for line in failures:
-        print(f"FAILED {line}", file=sys.stderr)
-    return 1 if failures else 0
+    return _run_grid(args, ["delta", "z_resummed", "z_reference", "abs_error"], one, points)
 
 
 def cmd_qm_resum(args) -> int:
     spec = _quad_spec(args.tol)
     gbar = _g4_value(args)
     N = args.order
-    sigma = Fraction(args.sigma)
-    deltas = _delta_grid(args)
+    points = [{"delta": d} for d in _delta_grid(args)]
     state = benderwu.build(max(N, args.vpt_baseline or 0))
-    approx = qm.qm_approximant(state.energy, N, sigma)
-    if args.dump_approximant:
-        with open(args.dump_approximant, "w") as fh:
-            fh.write(approximant_to_json(approx))
+    approx = qm.qm_approximant(state.energy, N, Fraction(args.sigma))
+    _dump_approximant(args, approx)
 
-    failures: List[str] = []
-
-    def one(d: Fraction):
-        try:
-            e = approx.resum(float(gbar), 2.0 * float(d), spec)
-            row = [float(d), e]
-            if args.vpt_baseline:
-                row.append(vpt.vpt_energy(state.energy, args.vpt_baseline, gbar, d).energy)
-            return tuple(row)
-        except Exception as exc:
-            failures.append(f"delta={float(d)}: {exc}")
-            return None
+    def one(delta):
+        row = (float(delta), approx.resum(float(gbar), 2.0 * float(delta), spec))
+        if args.vpt_baseline:
+            row += (vpt.vpt_energy(state.energy, args.vpt_baseline, gbar, delta).energy,)
+        return row
 
     header = ["delta", "e_resummed"] + (["vpt_baseline"] if args.vpt_baseline else [])
-    results = [r for r in map(one, deltas) if r is not None]
-    _write_rows(args.out, header, sorted(results), args.format)
-    for line in failures:
-        print(f"FAILED {line}", file=sys.stderr)
-    return 1 if failures else 0
+    return _run_grid(args, header, one, points)
 
 
 def cmd_vpt(args) -> int:
     orders = [int(s) for s in args.orders.split(",")]
-    state = benderwu.build(max(orders))
     g4 = _g4_value(args)
-    deltas = _delta_grid(args)
+    points = [{"delta": d, "k": k} for d in _delta_grid(args) for k in orders]
+    state = benderwu.build(max(orders))
     selection = "min_omega" if args.min_omega else "min_w"
-    rows = []
-    for d in deltas:
-        for k in orders:
-            res = vpt.vpt_energy(state.energy, k, g4, d, selection=selection)
-            rows.append((k, float(d), float(g4), res.omega, res.energy, res.kind))
-    _write_rows(args.out, ["k", "delta", "g_over_4", "omega_k", "W_k", "candidate_kind"],
-                sorted(rows), args.format)
-    return 0
 
+    def one(delta, k):
+        res = vpt.vpt_energy(state.energy, k, g4, delta, selection=selection)
+        return k, float(delta), float(g4), res.omega, res.energy, res.kind
 
-def cmd_benderwu(args) -> int:
-    state = benderwu.build(args.kmax)
-    out = open(args.out, "w", newline="") if args.out else sys.stdout
-    try:
-        state.energy.write_csv(out)
-    finally:
-        if args.out:
-            out.close()
-    return 0
+    return _run_grid(args, ["k", "delta", "g_over_4", "omega_k", "W_k", "candidate_kind"],
+                     one, points)
 
 
 def cmd_figures(args) -> int:
@@ -276,19 +268,17 @@ def cmd_figures(args) -> int:
         return cmd_model_crossover(args)
     if which == "fig4":
         g = 4.0 * float(_g4_value(args, "1/4"))
-        deltas = _parse_range("-1:3/2:1/20")
         mc = model.ModelCoefficients.build(8)
         params = model.model_large_order_params()
-        approxes = {N: build_approximant(mc.table, N, params) for N in (2, 4, 6, 8)}
-        rows = []
-        for d in deltas:
-            df = float(d)
-            row = [df] + [approxes[N].resum(g, df, spec) for N in (2, 4, 6, 8)]
-            row.append(model.z_reference(g, df, spec))
-            rows.append(tuple(row))
-        _write_rows(args.out, ["delta", "z_N2", "z_N4", "z_N6", "z_N8", "z_reference"],
-                    rows, args.format)
-        return 0
+        approxes = [build_approximant(mc.table, N, params) for N in (2, 4, 6, 8)]
+
+        def fig4_row(delta):
+            df = float(delta)
+            return (df, *(a.resum(g, df, spec) for a in approxes),
+                    model.z_reference(g, df, spec))
+
+        return _run_grid(args, ["delta", "z_N2", "z_N4", "z_N6", "z_N8", "z_reference"],
+                         fig4_row, [{"delta": d} for d in _parse_range("-1:3/2:1/20")])
     if which in ("fig5", "fig6", "fig8", "fig9"):
         gbar_default = {"fig5": "1/10", "fig6": "1", "fig8": "1/10", "fig9": "1"}[which]
         # fig8/fig9 are the larger-sigma refit of fig5/fig6
@@ -296,18 +286,17 @@ def cmd_figures(args) -> int:
         sigma = Fraction(args.sigma or sigma_default)
         gbar = _g4_value(args, gbar_default)
         orders = (2, 4, 6) if which in ("fig8", "fig9") else (2, 4, 6, 8)
-        deltas = _parse_range("-3/2:2:1/10")
         state = benderwu.build(12)
-        approxes = {N: qm.qm_approximant(state.energy, N, sigma) for N in orders}
-        rows = []
-        for d in deltas:
-            row = [float(d)]
-            row += [approxes[N].resum(float(gbar), 2.0 * float(d), spec) for N in orders]
-            row.append(vpt.vpt_energy(state.energy, 11, gbar, d).energy)
-            rows.append(tuple(row))
+        approxes = [qm.qm_approximant(state.energy, N, sigma) for N in orders]
+
+        def qm_row(delta):
+            return (float(delta),
+                    *(a.resum(float(gbar), 2.0 * float(delta), spec) for a in approxes),
+                    vpt.vpt_energy(state.energy, 11, gbar, delta).energy)
+
         header = ["delta"] + [f"e_N{N}" for N in orders] + ["vpt_baseline"]
-        _write_rows(args.out, header, rows, args.format)
-        return 0
+        return _run_grid(args, header, qm_row,
+                         [{"delta": d} for d in _parse_range("-3/2:2:1/10")])
     if which == "fig7":
         gbar = _g4_value(args, "1/10")
         state = benderwu.build(5)
@@ -364,7 +353,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_model_eval)
 
     p = sub.add_parser("model-crossover", help="large-order crossover scan")
-    common(p, delta=True, kmax=4096, tol=False)
+    common(p, kmax=4096, tol=False)
+    p.add_argument("--delta", required=True, help="anisotropy (exact decimal or fraction)")
     p.set_defaults(fn=cmd_model_crossover)
 
     p = sub.add_parser("model-resum", help="resummed model vs reference")

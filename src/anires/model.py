@@ -35,7 +35,7 @@ from fractions import Fraction
 from typing import List, NamedTuple, Union
 
 from .quadrature import DEFAULT_SPEC, QuadratureSpec, integrate_semiline
-from .series import CoefficientTable, AffineInN, LargeOrderParams
+from .series import CoefficientTable, LargeOrderParams
 from .specfun import ScaledValue, bessel_i0_scaled, legendre_scaled, log_gamma
 
 __all__ = [
@@ -51,6 +51,7 @@ __all__ = [
     "KappaResult",
     "imaginary_part_terms",
     "imaginary_part",
+    "gamma_n",
     "large_order_estimate",
     "large_order_estimate_delta",
     "model_large_order_params",
@@ -78,12 +79,11 @@ class ModelCoefficients:
     """Exact table of Z_kn up to kmax."""
 
     table: CoefficientTable
-    kmax: int
 
     @classmethod
     def build(cls, kmax: int) -> "ModelCoefficients":
         entries = {(k, n): z_coeff(k, n) for k in range(kmax + 1) for n in range(k + 1)}
-        return cls(CoefficientTable(entries, kmax), kmax)
+        return cls(CoefficientTable(entries, kmax))
 
 
 def z_coeff_delta(k: int, delta: Union[Fraction, int]) -> Fraction:
@@ -238,37 +238,35 @@ def imaginary_part(g_abs: float, delta: float, n_max: int) -> float:
     return -total
 
 
+def gamma_n(n: int) -> float:
+    """The prefactor gamma_n = (-1)^n Gamma(n+1/2) / (pi 2^n n!^2) of Z_kn."""
+    return (-1) ** n * math.exp(log_gamma(n + 0.5) - n * math.log(2.0)
+                                - 2.0 * log_gamma(n + 1.0)) / math.pi
+
+
 def large_order_estimate(k: int, n: int, form: str = "power") -> ScaledValue:
-    r"""Asymptotic estimate of Z_kn for k >> n, in scaled form.
+    r"""Asymptotic estimate of Z_kn for k >> n, in scaled form, with :func:`gamma_n`.
 
-    form="power" (default):
-        Z_kn ~ (-1)^n Gamma(n+1/2)/(2^n n!^2) (-1)^k (4^k/pi) k! k^{n-1/2}
+    form="power" (default):  Z_kn ~ gamma_n (-4)^k k! k^{n-1/2}
 
-    form="gamma":
-        the same with k! k^{n-1/2} replaced by Gamma(k+n+1/2)/sqrt(pi) *
-        sqrt(pi) ... explicitly (1/pi)(-1)^{k+n} Gamma(n+1/2) 4^k
-        Gamma(k+n+1/2) / (2^n n!^2), which is exactly what the dispersion
-        integral over the leading imaginary part produces; the two forms
-        differ by O(1/k).
+    form="gamma":            Z_kn ~ gamma_n (-4)^k Gamma(k+n+1/2)
+
+    The gamma form is exactly what the dispersion integral over the leading
+    imaginary part produces; the two forms differ by O(1/k).
     """
     if k < 1:
         raise ValueError("requires k >= 1")
     if n < 0:
         raise ValueError("requires n >= 0")
-    ln_common = (
-        log_gamma(n + 0.5)
-        - n * math.log(2.0)
-        - 2.0 * log_gamma(n + 1.0)
-        - math.log(math.pi)
-        + k * math.log(4.0)
-    )
+    gamma = gamma_n(n)
+    ln_common = math.log(abs(gamma)) + k * math.log(4.0)
     if form == "power":
         ln_abs = ln_common + log_gamma(k + 1.0) + (n - 0.5) * math.log(k)
     elif form == "gamma":
         ln_abs = ln_common + log_gamma(k + n + 0.5)
     else:
         raise ValueError(f"unknown form {form!r}")
-    sign = -1 if (k + n) % 2 else 1
+    sign = (1 if gamma > 0 else -1) * (-1) ** k
     return ScaledValue.from_log(sign, ln_abs)
 
 
@@ -306,18 +304,7 @@ def large_order_estimate_delta(k: int, delta: float) -> ScaledValue:
     return ScaledValue.from_log(sign, ln_abs)
 
 
-def model_large_order_params(n_max: int = 16) -> LargeOrderParams:
-    """Resummation input for the model: sigma=4, alpha=-1/2, b0(n)=n+1,
-    beta(n)=n-1/2, gamma_n = (-1)^n Gamma(n+1/2)/(pi 2^n n!^2)."""
-    gamma = [
-        (-1) ** n * math.exp(log_gamma(n + 0.5) - n * math.log(2.0) - 2.0 * log_gamma(n + 1.0))
-        / math.pi
-        for n in range(n_max + 1)
-    ]
-    return LargeOrderParams(
-        gamma=tuple(gamma),
-        sigma=MODEL_SIGMA,
-        beta_of_n=AffineInN(Fraction(1), Fraction(-1, 2)),
-        b0_of_n=AffineInN(Fraction(1), Fraction(1)),
-        alpha=MODEL_ALPHA,
-    )
+def model_large_order_params() -> LargeOrderParams:
+    """Resummation input for the model: sigma = 4, alpha = -1/2 and
+    b0(n) = n + 1, from beta(n) = n - 1/2."""
+    return LargeOrderParams(sigma=MODEL_SIGMA, b0_offset=Fraction(1), alpha=MODEL_ALPHA)

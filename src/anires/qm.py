@@ -26,27 +26,24 @@ exponent alpha = 1/3 (the energy grows like g^{1/3}).  The resummed energy is
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Union
 
 from .borel import ResummedApproximant, build_approximant
 from .model import ImaginaryPartTerm
-from .quadrature import DEFAULT_SPEC, QuadratureSpec
-from .series import AffineInN, CoefficientTable, LargeOrderParams
+from .series import CoefficientTable, LargeOrderParams
 from .specfun import ScaledValue, log_gamma
 
 __all__ = [
     "QM_ALPHA",
     "QM_DEFAULT_SIGMA",
-    "QmLargeOrder",
     "beta_symmetric_half",
+    "qm_gamma_n",
     "qm_large_order_params",
     "qm_imaginary_terms",
     "qm_imaginary_part",
     "qm_large_order_estimate",
     "qm_approximant",
-    "resum_energy",
 ]
 
 QM_ALPHA = Fraction(1, 3)
@@ -60,31 +57,14 @@ def beta_symmetric_half(n: int) -> float:
     return math.pi * math.comb(2 * n, n) / 16.0**n
 
 
-def qm_large_order_params(sigma: Union[int, Fraction] = QM_DEFAULT_SIGMA,
-                          n_max: int = 16) -> LargeOrderParams:
-    """Growth data of the E_kn table in the (g/4, 2 delta) variables."""
-    gamma = [
-        -((-1) ** n) * (6.0 / math.pi**2) * beta_symmetric_half(n) / math.factorial(n)
-        for n in range(n_max + 1)
-    ]
-    return LargeOrderParams(
-        gamma=tuple(gamma),
-        sigma=Fraction(sigma),
-        beta_of_n=AffineInN(Fraction(1), Fraction(0)),
-        b0_of_n=AffineInN(Fraction(1), Fraction(3, 2)),
-        alpha=QM_ALPHA,
-    )
+def qm_gamma_n(n: int) -> float:
+    """The prefactor gamma_n of E_kn ~ gamma_n (-1)^k sigma^k k! k^n (module docstring)."""
+    return -((-1) ** n) * (6.0 / math.pi**2) * beta_symmetric_half(n) / math.factorial(n)
 
 
-@dataclass(frozen=True)
-class QmLargeOrder:
-    """Bundle of the oscillator's resummation input, sigma configurable."""
-
-    params: LargeOrderParams
-
-    @classmethod
-    def default(cls, sigma: Union[int, Fraction] = QM_DEFAULT_SIGMA) -> "QmLargeOrder":
-        return cls(qm_large_order_params(sigma))
+def qm_large_order_params(sigma: Union[int, Fraction] = QM_DEFAULT_SIGMA) -> LargeOrderParams:
+    """Resummation input of the E_kn table in the (g/4, 2 delta) variables."""
+    return LargeOrderParams(sigma=Fraction(sigma), b0_offset=Fraction(3, 2), alpha=QM_ALPHA)
 
 
 def qm_imaginary_terms(n_max: int) -> List[ImaginaryPartTerm]:
@@ -117,15 +97,14 @@ def qm_large_order_estimate(k: int, n: int, sigma_in_gbar: float = 3.0) -> Scale
         raise ValueError("requires k >= 1")
     if n < 0:
         raise ValueError("requires n >= 0")
+    gamma = qm_gamma_n(n)
     ln_abs = (
-        math.log(6.0 / math.pi**2)
-        + math.log(beta_symmetric_half(n))
-        - log_gamma(n + 1.0)
+        math.log(abs(gamma))
         + k * math.log(sigma_in_gbar)
         + log_gamma(k + 1.0)
         + n * math.log(k)
     )
-    sign = 1 if (k + n + 1) % 2 == 0 else -1  # -(-1)^{k+n}
+    sign = (1 if gamma > 0 else -1) * (-1) ** k
     return ScaledValue.from_log(sign, ln_abs)
 
 
@@ -136,24 +115,3 @@ def qm_approximant(
 ) -> ResummedApproximant:
     """Order-N approximant of the energy table (anisotropy variable 2 delta)."""
     return build_approximant(table, N, qm_large_order_params(sigma))
-
-
-def resum_energy(
-    table: CoefficientTable,
-    N: int,
-    g_over_4: float,
-    delta: float,
-    sigma: Union[int, Fraction] = QM_DEFAULT_SIGMA,
-    quad: QuadratureSpec = DEFAULT_SPEC,
-) -> float:
-    """Resummed ground-state energy E^(N)(gbar, d) at gbar = g/4.
-
-    For grid evaluation prefer :func:`qm_approximant` once and its ``resum``
-    method per point, which reuses the memoized basis integrals.
-    """
-    if N > table.kmax:
-        raise ValueError(f"N={N} exceeds table kmax={table.kmax}")
-    if g_over_4 <= 0:
-        raise ValueError("requires g/4 > 0")
-    approx = qm_approximant(table, N, sigma)
-    return approx.resum(g_over_4, 2.0 * delta, quad)

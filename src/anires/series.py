@@ -21,7 +21,6 @@ happens near k ~ 1/|d|.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,18 +29,13 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Uni
 from .specfun import ScaledValue, log_gamma
 
 __all__ = [
-    "BigRational",
     "CoefficientTable",
-    "AffineInN",
     "LargeOrderParams",
     "CrossoverReport",
     "local_exponent",
     "truncated_double_sum",
     "log_abs_fraction",
 ]
-
-# Exact rationals are plain stdlib Fractions: always reduced, denominator > 0.
-BigRational = Fraction
 
 Coefficient = Union[Fraction, int, float, ScaledValue]
 
@@ -94,63 +88,24 @@ class CoefficientTable:
             return NotImplemented
         return self._kmax == other._kmax and self._entries == other._entries
 
-    def write_csv(self, fileobj) -> None:
-        """CSV export: header row, then k,n,numerator,denominator per entry."""
-        writer = csv.writer(fileobj, lineterminator="\n")
-        writer.writerow(["k", "n", "numerator", "denominator"])
-        for (k, n), value in self.items():
-            writer.writerow([k, n, str(value.numerator), str(value.denominator)])
-
-    @classmethod
-    def read_csv(cls, fileobj) -> "CoefficientTable":
-        reader = csv.reader(fileobj)
-        header = next(reader)
-        if header[:4] != ["k", "n", "numerator", "denominator"]:
-            raise ValueError(f"unexpected CSV header {header}")
-        entries = {}
-        kmax = 0
-        for row in reader:
-            if not row:
-                continue
-            k, n = int(row[0]), int(row[1])
-            entries[(k, n)] = Fraction(int(row[2]), int(row[3]))
-            kmax = max(kmax, k)
-        return cls(entries, kmax)
-
-
-@dataclass(frozen=True)
-class AffineInN:
-    """Affine map n -> slope*n + offset with exact rational coefficients."""
-
-    slope: Fraction
-    offset: Fraction
-
-    def __call__(self, n: int) -> Fraction:
-        return Fraction(self.slope) * n + Fraction(self.offset)
-
 
 @dataclass(frozen=True)
 class LargeOrderParams:
-    """Large-order growth data c_{kn} ~ gamma_n (-1)^k sigma^k k! k^{beta(n)}.
+    """What the resummation reads of the growth c_{kn} ~ (-1)^k sigma^k k! k^{beta(n)}.
 
-    ``b0_of_n`` is the Borel parameter map tied to the subleading exponent by
-    b0 = beta + 3/2; ``alpha`` is the strong-coupling exponent.  ``sigma``,
-    ``alpha`` and the affine maps are kept rational so that downstream
-    coefficient algebra stays exact.
+    ``b0_offset`` fixes the Borel parameter b0(n) = n + b0_offset, which is
+    beta(n) + 3/2 in both applications; ``alpha`` is the strong-coupling
+    exponent.  All three are rational so that downstream coefficient
+    algebra stays exact.
     """
 
-    gamma: Sequence[float]
     sigma: Fraction
-    beta_of_n: AffineInN
-    b0_of_n: AffineInN
+    b0_offset: Fraction
     alpha: Fraction
 
     def __post_init__(self) -> None:
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
-        for n in range(4):
-            if self.b0_of_n(n) - self.beta_of_n(n) != Fraction(3, 2):
-                raise ValueError("b0(n) must equal beta(n) + 3/2")
 
 
 @dataclass(frozen=True)
@@ -176,8 +131,6 @@ def _ln_abs(value: Coefficient) -> float:
         return value.ln()
     if isinstance(value, Fraction):
         return log_abs_fraction(value)
-    if isinstance(value, int):
-        return math.log(abs(value))
     return math.log(abs(value))
 
 

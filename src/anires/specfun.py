@@ -26,7 +26,6 @@ __all__ = [
     "log_gamma",
     "generalized_binomial",
     "legendre_scaled",
-    "legendre_scaled_triple",
     "bessel_i0_scaled",
 ]
 
@@ -193,35 +192,6 @@ def legendre_scaled(k: int, x: float) -> ScaledValue:
         p_cur = math.ldexp(p_next, -shift)
         expo += shift
     return ScaledValue(1, p_cur, expo)
-
-
-def legendre_scaled_triple(k: int, x: float):
-    """(P_{k-1}, P_k, P_{k+1}) at x >= 1 from a single recurrence sweep.
-
-    Consecutive values from one pass share their rounding history, so they
-    satisfy the three-term recurrence to the last ulp; use this when the
-    defining relation itself is needed, not just one value.
-    """
-    if k < 1:
-        raise ValueError(f"requires k >= 1, got {k}")
-    if x < 1.0:
-        raise ValueError(f"requires x >= 1, got {x}")
-    p_prev, p_cur, expo = 1.0, x, 0  # P_0, P_1 at common scale 2^expo
-    p_before = 1.0
-    for j in range(1, k + 1):
-        p_next = ((2 * j + 1) * x * p_cur - j * p_prev) / (j + 1)
-        _, e = math.frexp(p_next)
-        shift = e - 1
-        p_before = math.ldexp(p_prev, -shift)
-        p_prev = math.ldexp(p_cur, -shift)
-        p_cur = math.ldexp(p_next, -shift)
-        expo += shift
-
-    def _pack(v: float) -> ScaledValue:
-        m, e = math.frexp(v)
-        return ScaledValue(1, 2.0 * m, e - 1 + expo)
-
-    return _pack(p_before), _pack(p_prev), _pack(p_cur)
 
 
 def bessel_i0_scaled(x: float) -> float:

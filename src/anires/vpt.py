@@ -46,12 +46,8 @@ __all__ = [
     "vpt_energy",
 ]
 
+# str goes through Fraction's exact decimal parser; floats convert exactly
 Exactish = Union[int, str, Fraction, float]
-
-
-def _as_fraction(value: Exactish) -> Fraction:
-    # str goes through Fraction's exact decimal parser; floats convert exactly
-    return Fraction(value) if not isinstance(value, str) else Fraction(value)
 
 
 @dataclass(frozen=True)
@@ -86,6 +82,19 @@ class LaurentInOmega:
         return max(self.terms)
 
 
+def _energy_slices(table: CoefficientTable, k: int, delta: Exactish) -> List[Fraction]:
+    """E_j(d) = sum_{n<=j} E_jn (2d)^n for j = 0 .. k."""
+    two_d = 2 * Fraction(delta)
+    return [sum((table.entry(j, n) * two_d**n for n in range(j + 1)), Fraction(0))
+            for j in range(k + 1)]
+
+
+def _eps_coefficients(slices: List[Fraction], l: int) -> List[Fraction]:
+    """eps_l in powers of (2 rho Omega) from the slices E_j(d), j <= l."""
+    return [generalized_binomial(Fraction(1 - 3 * (l - t), 2), t) * slices[l - t]
+            for t in range(l + 1)]
+
+
 def reexpansion_coefficients(
     table: CoefficientTable, l: int, delta: Exactish
 ) -> List[Fraction]:
@@ -98,13 +107,7 @@ def reexpansion_coefficients(
         raise ValueError("l must be >= 0")
     if l > table.kmax:
         raise ValueError(f"l={l} exceeds table kmax={table.kmax}")
-    two_d = 2 * _as_fraction(delta)
-    coeffs: List[Fraction] = []
-    for t in range(l + 1):
-        j = l - t
-        e_slice = sum((table.entry(j, n) * two_d**n for n in range(j + 1)), Fraction(0))
-        coeffs.append(generalized_binomial(Fraction(1 - 3 * j, 2), t) * e_slice)
-    return coeffs
+    return _eps_coefficients(_energy_slices(table, l, delta), l)
 
 
 def w_laurent(
@@ -123,23 +126,19 @@ def w_laurent(
         raise ValueError("k must be >= 0")
     if k > table.kmax:
         raise ValueError(f"k={k} exceeds table kmax={table.kmax}")
-    gbar = _as_fraction(g_over_4)
+    gbar = Fraction(g_over_4)
     if gbar <= 0:
         raise ValueError("requires g/4 > 0")
-    two_d = 2 * _as_fraction(delta)
-    om2 = _as_fraction(omega) ** 2
+    om2 = Fraction(omega) ** 2
+    slices = _energy_slices(table, k, delta)
     terms: Dict[int, Fraction] = {}
     for l in range(k + 1):
+        eps = _eps_coefficients(slices, l)
         for j in range(l + 1):
             t = l - j
-            e_slice = sum(
-                (table.entry(j, n) * two_d**n for n in range(j + 1)), Fraction(0)
-            )
-            if e_slice == 0:
+            if eps[t] == 0:
                 continue
-            base = e_slice * generalized_binomial(Fraction(1 - 3 * j, 2), t) * gbar**j
-            if base == 0:
-                continue
+            base = eps[t] * gbar**j
             # (omega^2 - Omega^2)^t expanded; power of Omega: 1 + t - 3l + 2s
             for s in range(t + 1):
                 coeff = base * math.comb(t, s) * (-1) ** s * om2 ** (t - s)

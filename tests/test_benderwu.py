@@ -168,6 +168,14 @@ def test_isotropic_column_against_radial_recursion(bw_state_20):
         assert bw_state_20.energy.entry(k, 0) == expected, k
 
 
+def test_hellmann_feynman_n1_column(bw_state_20):
+    # at d = 0, dE/d(2d) = -gbar <x^2 y^2> = -(gbar/8) <r^4> = -(gbar/8) dE/dgbar,
+    # since the angular mean of cos^2 sin^2 is 1/8: E_k1 = -(k/8) E_k0 exactly
+    e = bw_state_20.energy
+    for k in range(21):
+        assert e.entry(k, 1) == -Fraction(k, 8) * e.entry(k, 0), k
+
+
 def test_kmax20_table_pinned(bw_state_20):
     # digest of the kmax-20 energy table and size of A, recorded from the
     # Fraction-dict recursion that the integer-block recursion replaced

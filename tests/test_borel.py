@@ -19,7 +19,6 @@ from anires import (
     model_large_order_params,
     qm_approximant,
     reexpansion_check,
-    resum,
     z_coeff,
     z_reference,
 )
@@ -156,7 +155,7 @@ class TestApproximant:
         assert model_approx_12.resum(1e-9, 0.7, TIGHT) == pytest.approx(1.0, abs=1e-7)
 
     def test_resum_matches_reference_isotropic(self, model_approx_12):
-        got = resum(model_approx_12, 1.0, 0.0, TIGHT)
+        got = model_approx_12.resum(1.0, 0.0, TIGHT)
         assert got == pytest.approx(z_reference(1.0, 0.0, TIGHT), abs=1e-3)
 
     def test_fig4_regime_pointwise(self, model_approx_12):

@@ -63,6 +63,13 @@ class TestBenderwuCommand:
         main(["benderwu", "--kmax", "6", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
+    def test_json_format(self, tmp_path):
+        out = tmp_path / "e.json"
+        assert main(["benderwu", "--kmax", "2", "--format", "json", "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert len(doc) == 6
+        assert doc[2] == {"k": 1, "n": 1, "numerator": "-1", "denominator": "4"}
+
 
 class TestCrossoverCommand:
     def test_delta_1e2(self, tmp_path, capsys):
@@ -99,6 +106,17 @@ class TestCrossoverCommand:
     def test_kmax_floor(self):
         with pytest.raises(SystemExit):
             main(["model-crossover", "--delta", "0.01", "--kmax", "8"])
+
+    @pytest.mark.parametrize("argv", [["--kmax", "32"],
+                                      ["--delta", "1", "--delta-range=0:1:1"]],
+                             ids=["no-delta", "delta-range"])
+    def test_usage_error(self, argv, capsys):
+        # --delta is required and --delta-range is not an option of this command
+        with pytest.raises(SystemExit) as exc:
+            main(["model-crossover"] + argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and "Traceback" not in err
 
 
 class TestModelEvalAndResum:
@@ -231,7 +249,19 @@ class TestFigures:
         assert "k_cross=32" in capsys.readouterr().err
 
 
-def test_partial_failure_sets_exit_status(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("argv, written, failed", [
+    # model-resum fails at delta = 0.5 through the patched z_reference below
+    (["model-resum", "--g4", "0.25", "--delta-range=0:1:0.5", "--order", "2"],
+     ["0.0", "1.0"], ["delta=0.5"]),
+    # the model integral needs delta < 2
+    (["model-eval", "--g4", "0.1", "--delta-range", "1:3:1"],
+     ["1.0"], ["delta=2.0", "delta=3.0"]),
+    # W_1 has no stationary point inside the search bracket at delta = 0
+    (["vpt", "--g4", "150000", "--delta-range=0:1:1", "--orders", "1"],
+     ["1.0"], ["delta=0.0, k=1"]),
+], ids=["model-resum", "model-eval", "vpt"])
+def test_partial_failure_sets_exit_status(argv, written, failed, tmp_path, monkeypatch,
+                                          capsys):
     # a grid point that raises is enumerated on stderr and flips the status;
     # the remaining points are still written
     import anires.cli as cli_mod
@@ -245,13 +275,13 @@ def test_partial_failure_sets_exit_status(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(cli_mod.model, "z_reference", flaky)
     out = tmp_path / "r.csv"
-    code = main(["model-resum", "--g4", "0.25", "--delta-range=0:1:0.5",
-                 "--order", "2", "--out", str(out)])
-    assert code == 1
+    assert main(argv + ["--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert "FAILED" in err and "0.5" in err
+    assert [line.split(":")[0] for line in err.splitlines()] == [f"FAILED {p}" for p in failed]
+    assert "Traceback" not in err
     rows = read_csv(out)
-    assert [r[0] for r in rows[1:]] == ["0.0", "1.0"]
+    column = rows[0].index("delta")
+    assert [r[column] for r in rows[1:]] == written
 
 
 def test_quad_tol_env_override(tmp_path, monkeypatch):

@@ -5,6 +5,7 @@ import pytest
 
 from anires import (
     QuadratureSpec,
+    gamma_n,
     imaginary_part_terms,
     integrate_semiline,
     large_order_estimate,
@@ -337,9 +338,8 @@ class TestLargeOrderEstimate:
 
 
 def test_model_params_gamma_values():
-    p = model_large_order_params(4)
+    p = model_large_order_params()
     # gamma_0 = Gamma(1/2)/pi = 1/sqrt(pi)
-    assert p.gamma[0] == pytest.approx(1.0 / math.sqrt(math.pi), rel=1e-14)
-    assert p.gamma[1] == pytest.approx(-math.sqrt(math.pi) / (2 * math.pi * 2), rel=1e-12)
-    assert p.b0_of_n(3) == Fraction(4)
-    assert p.beta_of_n(3) == Fraction(5, 2)
+    assert gamma_n(0) == pytest.approx(1.0 / math.sqrt(math.pi), rel=1e-14)
+    assert gamma_n(1) == pytest.approx(-math.sqrt(math.pi) / (2 * math.pi * 2), rel=1e-12)
+    assert 3 + p.b0_offset == Fraction(4)  # b0(n) = beta(n) + 3/2 with beta(n) = n - 1/2

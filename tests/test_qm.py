@@ -8,11 +8,11 @@ from anires import (
     QuadratureSpec,
     integrate_unit,
     qm_approximant,
+    qm_gamma_n,
     qm_imaginary_terms,
     qm_large_order_estimate,
     qm_large_order_params,
     reexpansion_check,
-    resum_energy,
     vpt_energy,
 )
 from anires.qm import beta_symmetric_half
@@ -115,25 +115,26 @@ class TestResummation:
         assert reexpansion_check(approx) == 0
 
     def test_unperturbed_limit(self, qm_table):
-        assert resum_energy(qm_table, 6, 1e-8, 0.9, quad=TIGHT) == pytest.approx(1.0, abs=1e-5)
+        got = qm_approximant(qm_table, 6).resum(1e-8, 2 * 0.9, TIGHT)
+        assert got == pytest.approx(1.0, abs=1e-5)
 
     def test_table2_point_g01(self, qm_table):
-        got = resum_energy(qm_table, 8, 0.1, 0.5, quad=TIGHT)
+        got = qm_approximant(qm_table, 8).resum(0.1, 2 * 0.5, TIGHT)
         assert got == pytest.approx(1.134734, abs=2e-3)
 
     def test_table2_point_g10(self, qm_table):
-        got = resum_energy(qm_table, 8, 1.0, -0.5, quad=TIGHT)
+        got = qm_approximant(qm_table, 8).resum(1.0, 2 * -0.5, TIGHT)
         assert got == pytest.approx(1.773867, abs=2e-2)
 
     def test_delta_zero_uses_only_isotropic_column(self, qm_table):
         # perturbing the n >= 1 columns must not change the d = 0 value
-        base = resum_energy(qm_table, 6, 0.3, 0.0, quad=TIGHT)
+        base = qm_approximant(qm_table, 6).resum(0.3, 0.0, TIGHT)
         entries = {kn: v for kn, v in qm_table.items() if kn[0] <= 6}
         for (k, n) in list(entries):
             if n >= 1:
                 entries[(k, n)] = entries[(k, n)] + 17
         poisoned = CoefficientTable(entries, 6)
-        assert resum_energy(poisoned, 6, 0.3, 0.0, quad=TIGHT) == base
+        assert qm_approximant(poisoned, 6).resum(0.3, 0.0, TIGHT) == base
 
     def test_sigma4_tracks_vpt_for_negative_delta(self, qm_table):
         # the larger-sigma refit at gbar = 0.1, N = 6 stays within 5e-4 of
@@ -151,22 +152,21 @@ class TestResummation:
         # at d = -1.5, gbar = 0.1, N = 6 the sigma = 4 run lands closer to the
         # variational reference than sigma = 3
         ref = vpt_energy(qm_table, 11, Fraction(1, 10), Fraction(-3, 2)).energy
-        err3 = abs(resum_energy(qm_table, 6, 0.1, -1.5, sigma=3, quad=TIGHT) - ref)
-        err4 = abs(resum_energy(qm_table, 6, 0.1, -1.5, sigma=4, quad=TIGHT) - ref)
+        err3 = abs(qm_approximant(qm_table, 6, sigma=3).resum(0.1, 2 * -1.5, TIGHT) - ref)
+        err4 = abs(qm_approximant(qm_table, 6, sigma=4).resum(0.1, 2 * -1.5, TIGHT) - ref)
         assert err4 < err3
 
     def test_params_validation(self, qm_table):
         with pytest.raises(ValueError):
-            resum_energy(qm_table, 15, 0.1, 0.0)
+            qm_approximant(qm_table, 15)
         with pytest.raises(ValueError):
-            resum_energy(qm_table, 6, -0.1, 0.0)
+            qm_approximant(qm_table, 6).resum(-0.1, 0.0)
 
 
 def test_qm_params_structure():
     p = qm_large_order_params()
     assert p.sigma == 3
     assert p.alpha == Fraction(1, 3)
-    assert p.b0_of_n(2) == Fraction(7, 2)
-    assert p.beta_of_n(2) == 2
+    assert 2 + p.b0_offset == Fraction(7, 2)  # b0(n) = beta(n) + 3/2 with beta(n) = n
     # gamma_0 = -(6/pi^2) B(1/2,1/2) = -6/pi
-    assert p.gamma[0] == pytest.approx(-6.0 / math.pi, rel=1e-14)
+    assert qm_gamma_n(0) == pytest.approx(-6.0 / math.pi, rel=1e-14)

@@ -1,4 +1,3 @@
-import io
 import math
 from fractions import Fraction
 
@@ -7,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anires import (
-    AffineInN,
     CoefficientTable,
     LargeOrderParams,
     ScaledValue,
@@ -45,16 +43,6 @@ class TestCoefficientTable:
         t = small_table(3)
         assert t.column(1) == [z_coeff(1, 1), z_coeff(2, 1), z_coeff(3, 1)]
 
-    def test_csv_roundtrip(self):
-        t = small_table(3)
-        buf = io.StringIO()
-        t.write_csv(buf)
-        buf.seek(0)
-        header = buf.readline().strip()
-        assert header == "k,n,numerator,denominator"
-        buf.seek(0)
-        assert CoefficientTable.read_csv(buf) == t
-
     def test_sign_alternation_model(self):
         t = small_table(3)
         for (k, n), v in t.items():
@@ -63,25 +51,9 @@ class TestCoefficientTable:
 
 
 class TestLargeOrderParams:
-    def test_b0_beta_link_enforced(self):
-        with pytest.raises(ValueError):
-            LargeOrderParams(
-                gamma=(1.0,),
-                sigma=Fraction(4),
-                beta_of_n=AffineInN(Fraction(1), Fraction(0)),
-                b0_of_n=AffineInN(Fraction(1), Fraction(0)),
-                alpha=Fraction(-1, 2),
-            )
-
     def test_sigma_positive(self):
         with pytest.raises(ValueError):
-            LargeOrderParams(
-                gamma=(1.0,),
-                sigma=Fraction(-1),
-                beta_of_n=AffineInN(Fraction(1), Fraction(0)),
-                b0_of_n=AffineInN(Fraction(1), Fraction(3, 2)),
-                alpha=Fraction(0),
-            )
+            LargeOrderParams(sigma=Fraction(-1), b0_offset=Fraction(3, 2), alpha=Fraction(0))
 
 
 class TestTruncatedDoubleSum:

@@ -1,0 +1,45 @@
+"""Guards for the public surface: what the package names exists, and the
+runtime needs nothing beyond the standard library."""
+
+import ast
+import importlib
+import pkgutil
+import sys
+from pathlib import Path
+
+import pytest
+
+import anires
+
+SRC = Path(anires.__file__).parent
+MODULES = sorted(info.name for info in pkgutil.iter_modules(anires.__path__))
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_all_resolves(name):
+    module = importlib.import_module(f"anires.{name}")
+    assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
+
+
+def test_package_reexports_exist():
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom) and node.level == 1]
+    assert imports
+    for node in imports:
+        module = importlib.import_module(f"anires.{node.module}")
+        for alias in node.names:
+            assert getattr(anires, alias.asname or alias.name) is getattr(module, alias.name)
+
+
+def test_runtime_imports_only_stdlib():
+    foreign = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                roots = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                roots = [node.module.split(".")[0]]
+            else:
+                continue
+            foreign += [(path.name, r) for r in roots if r not in sys.stdlib_module_names]
+    assert foreign == []
