@@ -314,9 +314,7 @@ class ResummedApproximant:
     ``a[(p, n)]`` holds the exact coefficients, n <= p <= N.  ``resum``
     evaluates ``sum_n (sum_p a_pn I_pn(g)) y^n`` where y is the anisotropy
     variable the input table is written in.  The I_pn with a_pn != 0 are
-    computed together by :func:`basis_integrals` and memoized per (g, spec);
-    two threads that miss the same key both store the same deterministic
-    values, so concurrent grid evaluation returns exactly the serial values.
+    computed together by :func:`basis_integrals` and memoized per (g, spec).
     """
 
     N: int

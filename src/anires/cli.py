@@ -9,8 +9,10 @@ switches the flag value to raw g, in every command that takes --g4.
 Exit status is 0 only if every requested grid point evaluated successfully;
 failures are listed on stderr and flip the status to 1.  A reader that closes
 stdout early (`anires ... | head`) also gives status 1, without a traceback.
+A malformed flag value is a usage error (status 2) before any work starts.
 
-Environment: ANIRES_QUAD_TOL overrides the default quadrature tolerance.
+Environment: ANIRES_QUAD_TOL overrides the default quadrature tolerance, as
+--tol does; a malformed value is a usage error too.
 """
 
 from __future__ import annotations
@@ -34,10 +36,28 @@ _CROSSOVER_NOTE = (
 )
 
 
+def _arg(convert: Callable, expected: str, check: Callable = lambda value: True):
+    """An argparse ``type=``: ``convert(text)``, a usage error unless ``check`` holds."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except (ValueError, ZeroDivisionError):
+            value = None
+        if value is None or not check(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+    return parse
+
+
+_fraction = _arg(Fraction, "an exact decimal or fraction")
+_positive_fraction = _arg(Fraction, "an exact decimal or fraction > 0", lambda v: v > 0)
+_tolerance = _arg(float, "a number > 0", lambda v: v > 0)
+_count = _arg(int, "an integer >= 0", lambda v: v >= 0)
+_orders = _arg(lambda text: [int(s) for s in text.split(",")], "comma-separated orders >= 0",
+               lambda ks: min(ks) >= 0)
+
+
 def _quad_spec(tol: Optional[float]) -> QuadratureSpec:
-    env = os.environ.get("ANIRES_QUAD_TOL")
-    if tol is None and env is not None:
-        tol = float(env)
     if tol is None:
         return QuadratureSpec()
     return QuadratureSpec(abs_tol=tol, rel_tol=tol, max_refinements=12)
@@ -48,7 +68,7 @@ def _parse_range(text: str) -> List[Fraction]:
     parts = text.split(":")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"expected start:stop:step, got {text!r}")
-    start, stop, step = (Fraction(p) for p in parts)
+    start, stop, step = (_fraction(p) for p in parts)
     if step <= 0:
         raise argparse.ArgumentTypeError("step must be positive")
     if stop < start:
@@ -109,18 +129,15 @@ def _g4_value(args, default: Optional[str] = None) -> Fraction:
         if default is None:
             raise SystemExit("need --g4")
         return Fraction(default)
-    g4 = Fraction(args.g4)
-    if args.raw_g:
-        g4 = g4 / 4
-    return g4
+    return args.g4 / 4 if args.raw_g else args.g4
 
 
 def _delta_grid(args) -> List[Fraction]:
     if args.delta_range:
-        return _parse_range(args.delta_range)
+        return args.delta_range
     if args.delta is None:
         raise SystemExit("need --delta or --delta-range")
-    return [Fraction(args.delta)]
+    return [args.delta]
 
 
 def _run_grid(args, header: Sequence[str], evaluate: Callable[..., tuple],
@@ -189,7 +206,7 @@ def cmd_model_eval(args) -> int:
 def cmd_model_crossover(args) -> int:
     if args.kmax < 16:
         raise SystemExit("crossover scan needs --kmax >= 16")
-    delta = float(Fraction(args.delta))
+    delta = float(args.delta)
     ks = []
     k = 16
     while k <= args.kmax:
@@ -230,7 +247,7 @@ def cmd_qm_resum(args) -> int:
     N = args.order
     points = [{"delta": d} for d in _delta_grid(args)]
     state = benderwu.build(max(N, args.vpt_baseline or 0))
-    approx = qm.qm_approximant(state.energy, N, Fraction(args.sigma))
+    approx = qm.qm_approximant(state.energy, N, args.sigma)
     _dump_approximant(args, approx)
 
     def one(delta):
@@ -244,7 +261,7 @@ def cmd_qm_resum(args) -> int:
 
 
 def cmd_vpt(args) -> int:
-    orders = [int(s) for s in args.orders.split(",")]
+    orders = args.orders
     g4 = _g4_value(args)
     points = [{"delta": d, "k": k} for d in _delta_grid(args) for k in orders]
     state = benderwu.build(max(orders))
@@ -262,7 +279,8 @@ def cmd_figures(args) -> int:
     which = args.which
     spec = _quad_spec(args.tol)
     if which in ("fig1", "fig2a", "fig2b"):
-        cfg = {"fig1": ("1/100", 4096), "fig2a": ("1/10000", 8192), "fig2b": ("1", 4096)}
+        cfg = {"fig1": (Fraction(1, 100), 4096), "fig2a": (Fraction(1, 10000), 8192),
+               "fig2b": (Fraction(1), 4096)}
         delta, kmax = cfg[which]
         args.delta, args.kmax = delta, kmax
         return cmd_model_crossover(args)
@@ -282,8 +300,7 @@ def cmd_figures(args) -> int:
     if which in ("fig5", "fig6", "fig8", "fig9"):
         gbar_default = {"fig5": "1/10", "fig6": "1", "fig8": "1/10", "fig9": "1"}[which]
         # fig8/fig9 are the larger-sigma refit of fig5/fig6
-        sigma_default = "3" if which in ("fig5", "fig6") else "4"
-        sigma = Fraction(args.sigma or sigma_default)
+        sigma = args.sigma or Fraction(3 if which in ("fig5", "fig6") else 4)
         gbar = _g4_value(args, gbar_default)
         orders = (2, 4, 6) if which in ("fig8", "fig9") else (2, 4, 6, 8)
         state = benderwu.build(12)
@@ -322,24 +339,26 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, *, g4=False, delta=False, order=False, orders=False,
                sigma=False, kmax=None, tol=True):
         if g4:
-            p.add_argument("--g4", help="coupling g/4 (exact decimal or fraction)")
+            p.add_argument("--g4", type=_fraction,
+                           help="coupling g/4 (exact decimal or fraction)")
             p.add_argument("--raw-g", action="store_true",
                            help="interpret --g4 as raw g instead of g/4")
         if delta:
-            p.add_argument("--delta", help="anisotropy (exact decimal or fraction)")
-            p.add_argument("--delta-range", help="grid start:stop:step")
+            p.add_argument("--delta", type=_fraction,
+                           help="anisotropy (exact decimal or fraction)")
+            p.add_argument("--delta-range", type=_parse_range, help="grid start:stop:step")
         if order:
-            p.add_argument("--order", type=int, default=8, help="resummation order N")
+            p.add_argument("--order", type=_count, default=8, help="resummation order N")
         if orders:
-            p.add_argument("--orders", default="1,3,5,7,9,11",
+            p.add_argument("--orders", type=_orders, default="1,3,5,7,9,11",
                            help="comma-separated variational orders k")
         if sigma:
-            p.add_argument("--sigma", default="3",
+            p.add_argument("--sigma", type=_positive_fraction, default="3",
                            help="large-order growth parameter in g/4 (default 3)")
         if kmax is not None:
-            p.add_argument("--kmax", type=int, default=kmax)
+            p.add_argument("--kmax", type=_count, default=kmax)
         if tol:
-            p.add_argument("--tol", type=float, default=None,
+            p.add_argument("--tol", type=_tolerance, default=None,
                            help="quadrature tolerance (default 1e-12/1e-10)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", help="output path (default stdout)")
@@ -354,7 +373,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("model-crossover", help="large-order crossover scan")
     common(p, kmax=4096, tol=False)
-    p.add_argument("--delta", required=True, help="anisotropy (exact decimal or fraction)")
+    p.add_argument("--delta", type=_fraction, required=True,
+                   help="anisotropy (exact decimal or fraction)")
     p.set_defaults(fn=cmd_model_crossover)
 
     p = sub.add_parser("model-resum", help="resummed model vs reference")
@@ -368,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("qm-resum", help="resummed oscillator ground-state energy")
     common(p, g4=True, delta=True, order=True, sigma=True)
-    p.add_argument("--vpt-baseline", type=int, default=0,
+    p.add_argument("--vpt-baseline", type=_count, default=0,
                    help="add a variational baseline column at this order")
     p.add_argument("--dump-approximant", help="also write the approximant JSON here")
     p.set_defaults(fn=cmd_qm_resum)
@@ -388,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["fig1", "fig2a", "fig2b", "fig4", "fig5", "fig6",
                             "fig7", "fig8", "fig9"])
     common(p, g4=True)
-    p.add_argument("--sigma", default=None,
+    p.add_argument("--sigma", type=_positive_fraction, default=None,
                    help="growth parameter override (default 3; 4 for fig8/fig9)")
     p.set_defaults(fn=cmd_figures)
 
@@ -396,7 +416,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    env = os.environ.get("ANIRES_QUAD_TOL")
+    if env is not None and "tol" in vars(args) and args.tol is None:
+        try:
+            args.tol = _tolerance(env)
+        except argparse.ArgumentTypeError as exc:
+            parser.error(f"ANIRES_QUAD_TOL: {exc}")
     try:
         status = args.fn(args)
         sys.stdout.flush()

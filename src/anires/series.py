@@ -43,7 +43,7 @@ Coefficient = Union[Fraction, int, float, ScaledValue]
 class CoefficientTable:
     """Triangular table (k, n) -> exact rational, 0 <= n <= k <= kmax.
 
-    Immutable after construction; concurrent reads are safe.
+    Immutable after construction.
     """
 
     def __init__(self, entries: Mapping[Tuple[int, int], Fraction], kmax: int):

@@ -14,7 +14,8 @@ built here exactly: with 2 rho Omega = (omega^2 - Omega^2) Omega / gbar the
 term (l, j) contributes to the powers Omega^{1 + (l-j) - 3l + 2s} after
 expanding (omega^2 - Omega^2)^{l-j}, so W_k has integer powers in
 [1-3k, 1] (omega = 1 in reduced units).  Coefficients stay exact rationals
-until evaluation.
+until evaluation.  Omega^{3k} dW/dOmega is then a polynomial over Q, and every
+one of its positive roots is isolated exactly before it is rounded to a float.
 
 At finite k the optimum Omega_k is a stationary point of W_k.  For odd k
 minima exist; for even k there is no extremum and turning points
@@ -28,6 +29,7 @@ smallest-Omega reading is available as selection="min_omega".
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -89,10 +91,15 @@ def _energy_slices(table: CoefficientTable, k: int, delta: Exactish) -> List[Fra
             for j in range(k + 1)]
 
 
+@functools.cache
+def _binomial(j: int, t: int) -> Fraction:
+    """C((1-3j)/2, t), which depends on neither the table nor the coupling."""
+    return generalized_binomial(Fraction(1 - 3 * j, 2), t)
+
+
 def _eps_coefficients(slices: List[Fraction], l: int) -> List[Fraction]:
     """eps_l in powers of (2 rho Omega) from the slices E_j(d), j <= l."""
-    return [generalized_binomial(Fraction(1 - 3 * (l - t), 2), t) * slices[l - t]
-            for t in range(l + 1)]
+    return [_binomial(l - t, t) * slices[l - t] for t in range(l + 1)]
 
 
 def reexpansion_coefficients(
@@ -176,84 +183,106 @@ class VptOrderResult:
         return self.candidates[self.chosen].kind
 
 
-def _sign_change_roots(
-    fn: LaurentInOmega, lo: float, hi: float, subdivisions: int
-) -> List[float]:
-    """Roots of fn on a geometric grid, refined by bisection to ~1e-12 rel."""
-    ratio = (hi / lo) ** (1.0 / subdivisions)
-    xs = [lo * ratio**i for i in range(subdivisions + 1)]
-    vals = [fn.evaluate(x) for x in xs]
-    roots: List[float] = []
-    for i in range(subdivisions):
-        va, vb = vals[i], vals[i + 1]
-        if va == 0.0:
-            roots.append(xs[i])
+def _taylor_shift(a: List[int]) -> List[int]:
+    """Coefficients (low to high) of a(x + 1)."""
+    a = list(a)
+    for i in range(len(a) - 1):
+        for j in range(len(a) - 2, i - 1, -1):
+            a[j] += a[j + 1]
+    return a
+
+
+def _sign_at(a: List[int], u: int, e: int) -> int:
+    """Sign of a(u / 2^e), by Horner's rule on 2^(e deg a) a(u / 2^e)."""
+    h = 0
+    for i, c in enumerate(reversed(a)):
+        h = h * u + (c << (e * i))
+    return (h > 0) - (h < 0)
+
+
+def _positive_roots(fn: LaurentInOmega) -> List[float]:
+    """Every root Omega > 0 of fn, ascending, isolated in integer arithmetic.
+
+    Omega^(-min power) fn with denominators cleared is an integer polynomial;
+    Omega = 2^m x maps all its roots into |x| < 1 (Fujiwara's bound).  A piece
+    A(x) of it on (u, u + 1) / 2^e is dropped, kept as isolating or halved as
+    the coefficients of (x + 1)^n A(1 / (x + 1)) have 0, 1 or more sign
+    changes (Descartes; Vincent-Collins-Akritas bisection).  Each isolating
+    interval is then halved by the exact sign at its midpoint until it is
+    narrower than 2^-40 of its left end.  A multiple root, or roots that do
+    not separate at that width, raise RuntimeError.
+    """
+    terms = {p: c for p, c in fn.terms.items() if c}
+    if not terms:
+        return []
+    den = math.lcm(*(c.denominator for c in terms.values()))
+    P = [int(terms.get(p, 0) * den) for p in range(min(terms), max(terms) + 1)]
+    n, lead = len(P) - 1, P[-1].bit_length()
+    # 2^m >= 2 max_i |P_i / P_n|^(1 / (n - i)) bounds every |root|
+    m = max([0] + [1 - (lead - c.bit_length() - 1) // (n - i) for i, c in enumerate(P[:-1]) if c])
+    Q = [c << (m * i) for i, c in enumerate(P)]
+    dQ = [i * c for i, c in enumerate(Q)][1:]
+    exact, isolated, pieces = [], [], [(0, 0, Q)]
+    while pieces:
+        u, e, A = pieces.pop()
+        signs = [c > 0 for c in _taylor_shift(A[::-1]) if c]
+        changes = sum(s != t for s, t in zip(signs, signs[1:]))
+        if changes == 1:
+            isolated.append((u, e))
+        if changes < 2:
             continue
-        if va * vb < 0.0:
-            a, b, fa = xs[i], xs[i + 1], va
-            for _ in range(200):
-                mid = 0.5 * (a + b)
-                fm = fn.evaluate(mid)
-                if fm == 0.0:
-                    a = b = mid
-                    break
-                if fa * fm < 0.0:
-                    b = mid
-                else:
-                    a, fa = mid, fm
-                if b - a <= 1e-12 * mid:
-                    break
-            roots.append(0.5 * (a + b))
-    if vals[-1] == 0.0:
-        roots.append(xs[-1])
-    return roots
+        left = [c << (len(A) - 1 - i) for i, c in enumerate(A)]  # 2^n A(x / 2)
+        right = _taylor_shift(left)
+        if u >> 40 or right[0] == right[1] == 0:
+            raise RuntimeError("a multiple root, or roots closer than 2^-40 relative, near "
+                               f"Omega = {math.ldexp(2 * u + 1, m - e - 1):.12g}")
+        if right[0] == 0:  # a root at the midpoint
+            exact.append((2 * u + 1, e + 1))
+            right = right[1:]
+        pieces += [(2 * u, e + 1, left), (2 * u + 1, e + 1, right)]
+    for u, e in isolated:
+        # the sign just right of u / 2^e, which Q' gives if u / 2^e is a root
+        s = _sign_at(Q, u, e) or _sign_at(dQ, u, e)
+        while not u >> 40:
+            u, e = 2 * u + 1, e + 1
+            t = _sign_at(Q, u, e)
+            if t == 0:
+                break
+            if t != s:
+                u -= 1
+        else:
+            u, e = 2 * u + 1, e + 1
+        exact.append((u, e))
+    return sorted(math.ldexp(u, m - e) for u, e in exact)
 
 
-def optimize_omega(
-    W: LaurentInOmega,
-    k: int,
-    bracket: Tuple[float, float] = (1e-2, 1e2),
-    subdivisions: int = 400,
-    selection: str = "min_w",
-) -> VptOrderResult:
+def optimize_omega(W: LaurentInOmega, k: int, selection: str = "min_w") -> VptOrderResult:
     """Locate stationary points of W and select the optimal Omega_k.
 
-    Extrema (roots of dW/dOmega) are searched first; if none exist inside the
-    bracket, turning points (roots of d2W/dOmega2) are used instead.
-    selection="min_w" picks the candidate with the lowest W, "min_omega" the
-    leftmost one.  A candidate sitting in the first or last grid cell trips an
-    error asking for a wider bracket.
+    Every positive root of dW/dOmega is a candidate, found by exact root
+    isolation (:func:`_positive_roots`) on the whole half-line Omega > 0.  If
+    there is none, the roots of d2W/dOmega2 (turning points) are used; if
+    there is none of those either, RuntimeError is raised.  selection="min_w"
+    picks the candidate with the lowest W, "min_omega" the leftmost one.
     """
     if selection not in ("min_w", "min_omega"):
         raise ValueError(f"unknown selection {selection!r}")
-    lo, hi = bracket
-    if not (0 < lo < hi):
-        raise ValueError("invalid bracket")
     d1 = W.derivative()
     d2 = d1.derivative()
-    roots = _sign_change_roots(d1, lo, hi, subdivisions)
+    roots = _positive_roots(d1)
     kind = "extremum"
     if not roots:
-        roots = _sign_change_roots(d2, lo, hi, subdivisions)
+        roots = _positive_roots(d2)
         kind = "turning_point"
     if not roots:
-        raise RuntimeError(
-            f"no stationary point of W_{k} inside ({lo}, {hi}); extend the bracket"
-        )
-    ratio = (hi / lo) ** (1.0 / subdivisions)
-    if min(roots) <= lo * ratio or max(roots) >= hi / ratio:
-        raise RuntimeError(
-            f"candidate at bracket edge for W_{k}; extend the bracket beyond ({lo}, {hi})"
-        )
+        raise RuntimeError(f"W_{k} has no stationary or turning point at Omega > 0")
     # stationarity quality, scaled by the term-magnitude sum
     for r in roots:
         if kind == "extremum":
             assert abs(d1.evaluate(r)) <= 1e-10 * max(1.0, d1.scale(r))
         else:
             assert abs(d2.evaluate(r)) <= 1e-8 * max(1.0, d2.scale(r))
-    candidates = tuple(
-        OmegaCandidate(r, kind, W.evaluate(r)) for r in sorted(roots)
-    )
+    candidates = tuple(OmegaCandidate(r, kind, W.evaluate(r)) for r in roots)
     if selection == "min_omega":
         chosen = 0
     else:
@@ -268,9 +297,6 @@ def vpt_energy(
     delta: Exactish,
     omega: Exactish = 1,
     selection: str = "min_w",
-    bracket: Tuple[float, float] = (1e-2, 1e2),
-    subdivisions: int = 400,
 ) -> VptOrderResult:
     """Variational energy W_k at the optimized Omega_k."""
-    W = w_laurent(table, k, g_over_4, delta, omega)
-    return optimize_omega(W, k, bracket=bracket, subdivisions=subdivisions, selection=selection)
+    return optimize_omega(w_laurent(table, k, g_over_4, delta, omega), k, selection=selection)

@@ -256,9 +256,9 @@ class TestFigures:
     # the model integral needs delta < 2
     (["model-eval", "--g4", "0.1", "--delta-range", "1:3:1"],
      ["1.0"], ["delta=2.0", "delta=3.0"]),
-    # W_1 has no stationary point inside the search bracket at delta = 0
-    (["vpt", "--g4", "150000", "--delta-range=0:1:1", "--orders", "1"],
-     ["1.0"], ["delta=0.0, k=1"]),
+    # W_0 = Omega has no stationary point; W_1 has one
+    (["vpt", "--g4", "0.1", "--delta", "0.5", "--orders", "0,1"],
+     ["0.5"], ["delta=0.5, k=0"]),
 ], ids=["model-resum", "model-eval", "vpt"])
 def test_partial_failure_sets_exit_status(argv, written, failed, tmp_path, monkeypatch,
                                           capsys):
@@ -282,6 +282,42 @@ def test_partial_failure_sets_exit_status(argv, written, failed, tmp_path, monke
     rows = read_csv(out)
     column = rows[0].index("delta")
     assert [r[column] for r in rows[1:]] == written
+
+
+@pytest.mark.parametrize("argv, env", [
+    (["model-eval", "--g4", "abc", "--delta", "0"], None),
+    (["model-eval", "--g4", "1/0", "--delta", "0"], None),
+    (["model-eval", "--g4", "0.1", "--delta", "x"], None),
+    (["model-eval", "--g4", "0.1", "--delta-range", "a:b:c"], None),
+    (["model-eval", "--g4", "0.1", "--delta-range", "1:2"], None),
+    (["model-eval", "--g4", "0.1", "--delta-range", "1:0:1"], None),
+    (["model-eval", "--g4", "0.1", "--delta-range", "0:1:0"], None),
+    (["model-eval", "--g4", "0.1", "--delta", "0", "--tol", "nan"], None),
+    (["model-crossover", "--delta", "abc"], None),
+    (["qm-resum", "--g4", "0.1", "--delta", "0", "--sigma", "x"], None),
+    (["qm-resum", "--g4", "0.1", "--delta", "0", "--sigma", "0"], None),
+    (["figures", "--which", "fig5", "--sigma=-1"], None),
+    (["vpt", "--g4", "0.1", "--delta", "0", "--orders", "1,x"], None),
+    (["vpt", "--g4", "0.1", "--delta", "0", "--orders=-1"], None),
+    (["qm-coeffs", "--kmax=-1"], None),
+    (["qm-resum", "--g4", "0.1", "--delta", "0", "--order=-1"], None),
+    (["qm-resum", "--g4", "0.1", "--delta", "0", "--vpt-baseline", "x"], None),
+    (["model-eval", "--g4", "0.1", "--delta", "0"], "abc"),
+    (["model-eval", "--g4", "0.1", "--delta", "0"], "0"),
+], ids=["g4", "g4-zero-denominator", "delta", "range-values", "range-parts", "range-empty",
+        "range-step", "tol", "crossover-delta", "sigma", "sigma-zero", "figures-sigma",
+        "orders", "orders-negative", "kmax-negative", "order-negative", "vpt-baseline",
+        "env-tol", "env-tol-zero"])
+def test_malformed_value_is_usage_error(argv, env, monkeypatch, capsys):
+    # a bad flag value or ANIRES_QUAD_TOL stops before any work, with usage and status 2
+    if env is not None:
+        monkeypatch.setenv("ANIRES_QUAD_TOL", env)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and "Traceback" not in err
+    assert ("ANIRES_QUAD_TOL" in err) == (env is not None)
 
 
 def test_quad_tol_env_override(tmp_path, monkeypatch):

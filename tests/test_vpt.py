@@ -1,9 +1,11 @@
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from anires import (
     CoefficientTable,
+    LaurentInOmega,
     optimize_omega,
     reexpansion_coefficients,
     vpt_energy,
@@ -116,10 +118,12 @@ class TestOptimizeOmega:
         assert max(omegas) - min(omegas) < 0.5
         assert all(1.0 < om < 2.0 for om in omegas)
 
-    def test_no_candidate_prompts_extension(self, qm_table):
-        W = w_laurent(qm_table, 1, Fraction(1, 10), Fraction(1, 2))
-        with pytest.raises(RuntimeError, match="bracket"):
-            optimize_omega(W, 1, bracket=(10.0, 100.0))
+    def test_no_stationary_point_raises(self, qm_table):
+        # W_0 = Omega has neither a stationary nor a turning point
+        W = w_laurent(qm_table, 0, Fraction(1, 10), Fraction(1, 2))
+        assert W.terms == {1: Fraction(1)}
+        with pytest.raises(RuntimeError, match="no stationary"):
+            optimize_omega(W, 0)
 
     def test_selection_flag(self, qm_table):
         # the near-degenerate high-order case where the two rules differ
@@ -128,6 +132,73 @@ class TestOptimizeOmega:
         assert res_om.omega <= res_w.omega
         assert res_w.energy <= res_om.energy
         assert res_om.chosen == 0
+
+
+def _from_roots(roots):
+    """W with dW/dOmega = prod (Omega - r) over ``roots``."""
+    dw = [Fraction(1)]
+    for r in roots:
+        dw = [Fraction(0)] + dw
+        for i in range(len(dw) - 1):
+            dw[i] -= r * dw[i + 1]
+    return LaurentInOmega({i + 1: c / (i + 1) for i, c in enumerate(dw) if c})
+
+
+class TestExactIsolation:
+    """Every positive stationary point is found, with no search bracket."""
+
+    def test_close_pair_is_resolved(self, qm_table):
+        # the pair at 2.8189 / 2.8733 once fell into a single 400-cell grid cell
+        res = vpt_energy(qm_table, 9, Fraction(39, 50), Fraction(-3, 5))
+        assert [c.omega for c in res.candidates] == pytest.approx(
+            [2.8188964165, 2.8732514065, 3.6702928185], rel=1e-10)
+        assert res.omega == pytest.approx(3.6702928185, rel=1e-10)
+
+    def test_every_candidate_is_an_exact_sign_change(self, qm_table):
+        # float cancellation once reported a spurious root at 0.98934 here
+        W = w_laurent(qm_table, 11, Fraction(1, 1000), 0)
+        res = optimize_omega(W, 11)
+        assert [c.omega for c in res.candidates] == pytest.approx(
+            [1.01114357, 1.01513700, 1.03241954], rel=1e-8)
+        d1 = W.derivative()
+        for c in res.candidates:
+            below = d1.evaluate_exact(Fraction(c.omega) * (1 - Fraction(1, 10**9)))
+            above = d1.evaluate_exact(Fraction(c.omega) * (1 + Fraction(1, 10**9)))
+            assert below * above < 0, c
+
+    def test_root_far_from_omega_one(self, qm_table):
+        # dW_1/dOmega = 0 is Omega^3 - Omega - 8 gbar = 0 at d = 0
+        res = vpt_energy(qm_table, 1, 150000, 0)
+        assert len(res.candidates) == 1
+        assert res.omega**3 - res.omega == pytest.approx(1.2e6, rel=1e-12)
+
+    def test_dyadic_roots_are_exact(self):
+        # roots on bisection midpoints are hit exactly and not counted twice
+        roots = [Fraction(1, 8), Fraction(3, 4), 1, 2, 16]
+        res = optimize_omega(_from_roots(roots), 5)
+        assert [c.omega for c in res.candidates] == [float(r) for r in roots]
+
+    @pytest.mark.parametrize("roots", [[1, 1], [Fraction(3, 7), Fraction(3, 7), 2]],
+                             ids=["dyadic", "non-dyadic"])
+    def test_multiple_root_raises(self, roots):
+        with pytest.raises(RuntimeError, match="multiple root"):
+            optimize_omega(_from_roots(roots), 3)
+
+    @pytest.mark.parametrize("k, gbar, delta", [(11, Fraction(1, 10), Fraction(1, 2)),
+                                                (9, Fraction(39, 50), Fraction(-3, 5))],
+                             ids=["criterion-02", "close-pair"])
+    def test_against_polyroots(self, qm_table, k, gbar, delta):
+        # an independent root finder on Omega^(3k) dW/dOmega in 30-digit arithmetic
+        W = w_laurent(qm_table, k, gbar, delta)
+        terms = W.derivative().terms
+        with mpmath.workdps(30):
+            coeffs = [mpmath.mpf(terms.get(p, 0).numerator) / terms.get(p, 0).denominator
+                      for p in range(max(terms), min(terms) - 1, -1)]
+            roots = mpmath.polyroots(coeffs, maxsteps=50, extraprec=60)
+            positive = sorted(float(r.real) for r in roots if abs(r.imag) < 1e-20 and r.real > 0)
+        res = optimize_omega(W, k)
+        assert len(positive) == 3
+        assert [c.omega for c in res.candidates] == pytest.approx(positive, rel=1e-12)
 
 
 class TestAgainstReferenceTable:
