@@ -13,7 +13,7 @@ Subpackage map:
 * :mod:`anires.cli`        command-line interface (`anires ...`)
 """
 
-from .specfun import ScaledValue, bessel_i0_scaled, generalized_binomial, legendre_scaled, log_gamma
+from .specfun import ScaledValue, bessel_i0_scaled, generalized_binomial, legendre_scaled
 from .quadrature import (
     DEFAULT_SPEC,
     QuadratureError,

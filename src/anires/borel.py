@@ -49,13 +49,13 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, repeat
+from itertools import accumulate, islice, repeat
 from operator import mul
 from typing import Dict, List, Sequence, Tuple, Union
 
 from .quadrature import DEFAULT_SPEC, QuadratureSpec, integrate_unit, integrate_semiline
 from .series import CoefficientTable, LargeOrderParams
-from .specfun import generalized_binomial, log_gamma
+from .specfun import generalized_binomial
 
 __all__ = [
     "BorelBasisSpec",
@@ -108,17 +108,15 @@ def borel_coefficients(
     column: Sequence[Rational],
     params: LargeOrderParams,
     n: int,
-    N: int,
 ) -> List[Fraction]:
-    """Expansion coefficients a_pn, p = n .. N, for one anisotropy power.
+    """Expansion coefficients a_pn, p = n .. n + len(column) - 1, for one anisotropy power.
 
     ``column[j]`` is the coefficient c_k of g^k at k = n + j; entries below
     k = n vanish identically for triangular double series.  Exact rational
     throughout (requires rational sigma and alpha, which both applications
     satisfy).
     """
-    if len(column) != N - n + 1:
-        raise ValueError(f"column must cover k = {n}..{N} ({N - n + 1} entries)")
+    N = n + len(column) - 1
     b0 = n + params.b0_offset
     sigma = Fraction(params.sigma)
     alpha = Fraction(params.alpha)
@@ -164,16 +162,12 @@ def basis_series_coefficient(spec: BorelBasisSpec, k: int) -> Fraction:
     return value
 
 
-def _basis_series_value(spec: BorelBasisSpec, g: float) -> float:
+def _basis_series_value(p: int, b0: float, alpha: float, sigma: float, g: float) -> float:
     """Optimally truncated asymptotic series of I_p(g), for tiny sigma*g.
 
     Terms alternate; summation stops at the smallest term, whose magnitude
     bounds the truncation error (~exp(-1/(sigma g)) at the optimum).
     """
-    p = spec.p
-    b0 = float(spec.b0)
-    alpha = float(spec.alpha)
-    sigma = float(spec.sigma)
     a = p - alpha
     term = (sigma * g / 4.0) ** p
     for i in range(p):
@@ -203,49 +197,47 @@ def _basis_series_value(spec: BorelBasisSpec, g: float) -> float:
 
 
 def basis_integrals(
-    specs: Sequence[BorelBasisSpec], g: float, quad: QuadratureSpec = DEFAULT_SPEC
-) -> List[float]:
-    """I_p(g) for every spec, in order, from one w-form quadrature.
+    sigma: Fraction,
+    alpha: Fraction,
+    columns: Sequence[Tuple[Fraction, Sequence[int]]],
+    g: float,
+    quad: QuadratureSpec = DEFAULT_SPEC,
+) -> List[List[float]]:
+    """I_p(g) for every p of every column ``(b0, ps)``, from one w-form quadrature.
 
-    The specs must share sigma and alpha.  All integrands are integrated on
-    one node set: per node the factor common to all of them is formed once in
-    logs, each distinct b0 (a column) takes one exp, and the powers of w for
-    the higher p of a column follow by a running product.  A refinement level
-    is accepted only when every integral meets the tolerance.  For sigma*g
-    below SMALL_SIGMA_G each value is its truncated power series instead.
+    Each ``ps`` is nonempty and ascending; the result holds one list of values
+    per column, in the order given.  All integrands are integrated on one
+    node set: per node the factor common to all of them is formed once in
+    logs (relative to the first column's b0), each column takes one exp, and
+    the powers of w for its higher p follow by a running product.  A
+    refinement level is accepted only when every integral meets the
+    tolerance.  For sigma*g below SMALL_SIGMA_G each value is its truncated
+    power series instead.
     """
     if g <= 0:
         raise ValueError(f"requires g > 0, got {g}")
-    if not specs:
+    if not columns:
         return []
-    sigma, alpha = float(specs[0].sigma), float(specs[0].alpha)
-    columns: Dict[float, List[int]] = {}  # spec indices by b0
-    for i, s in enumerate(specs):
-        if float(s.sigma) != sigma or float(s.alpha) != alpha:
-            raise ValueError("basis specs must share sigma and alpha")
-        columns.setdefault(float(s.b0), []).append(i)
+    sigma, alpha = float(sigma), float(alpha)
     sg = sigma * g
     if sg < SMALL_SIGMA_G:
-        return [_basis_series_value(s, g) for s in specs]
-    order = []  # spec index of each integrand component
+        return [[_basis_series_value(p, float(b0), alpha, sigma, g) for p in ps]
+                for b0, ps in columns]
     # per column: log offset, coefficients of log w and log(1-w), and the steps
     # in p above the column's lowest p (None when every step is 1)
     terms = []
-    b0_base = min(columns)
+    b0_base = float(columns[0][0])
     ln_4_over_sg = math.log(4.0 / sg)
 
     def ln_pref(b0: float) -> float:
-        return (b0 + 1.0) * ln_4_over_sg - log_gamma(b0 + 1.0)
+        return (b0 + 1.0) * ln_4_over_sg - math.lgamma(b0 + 1.0)
 
     ln_pref_base = ln_pref(b0_base)
-    for b0 in sorted(columns):
-        idx = sorted(columns[b0], key=lambda i: specs[i].p)
-        ps = [specs[i].p for i in idx]
-        db = b0 - b0_base
+    for b0, ps in columns:
+        db = float(b0) - b0_base
         steps = [b - a for a, b in zip(ps, ps[1:])]
-        terms.append((ln_pref(b0) - ln_pref_base, db + ps[0], 2.0 * db,
+        terms.append((ln_pref(float(b0)) - ln_pref_base, db + ps[0], 2.0 * db,
                       len(steps), None if set(steps) <= {1} else steps))
-        order.extend(idx)
     edge_base = 2.0 * b0_base + 2.0 * alpha + 3.0
     log, log1p, exp = math.log, math.log1p, math.exp
 
@@ -263,11 +255,8 @@ def basis_integrals(
             out.extend(accumulate(factors, mul, initial=v))
         return out
 
-    values = integrate_unit(integrand, quad).value
-    result = [0.0] * len(specs)
-    for i, v in zip(order, values):
-        result[i] = v
-    return result
+    values = iter(integrate_unit(integrand, quad).value)
+    return [list(islice(values, len(ps))) for _, ps in columns]
 
 
 def basis_integral(
@@ -275,7 +264,7 @@ def basis_integral(
 ) -> float:
     """I_p(g) for g > 0, via the w-form integral (or the truncated series
     in the small-coupling regime sigma*g < 1e-3)."""
-    return basis_integrals([spec], g, quad)[0]
+    return basis_integrals(spec.sigma, spec.alpha, [(spec.b0, [spec.p])], g, quad)[0][0]
 
 
 def basis_integral_tform(
@@ -288,7 +277,7 @@ def basis_integral_tform(
     alpha = float(spec.alpha)
     sigma = float(spec.sigma)
     p = spec.p
-    ln_norm = -log_gamma(b0 + 1.0)
+    ln_norm = -math.lgamma(b0 + 1.0)
 
     def integrand(t: float) -> float:
         z = sigma * g * t
@@ -314,30 +303,25 @@ class ResummedApproximant:
     ``a[(p, n)]`` holds the exact coefficients, n <= p <= N.  ``resum``
     evaluates ``sum_n (sum_p a_pn I_pn(g)) y^n`` where y is the anisotropy
     variable the input table is written in.  The I_pn with a_pn != 0 are
-    computed together by :func:`basis_integrals` and memoized per (g, spec).
+    computed together by :func:`basis_integrals`, one column per n, and
+    memoized per (g, quadrature spec).
     """
 
     N: int
     a: Dict[Tuple[int, int], Fraction]
     params: LargeOrderParams
     input_table: CoefficientTable
-    _cache: Dict[Tuple[float, QuadratureSpec], List[float]] = field(
+    _cache: Dict[Tuple[float, QuadratureSpec], List[List[float]]] = field(
         default_factory=dict, repr=False)
-    # the nonzero a_pn as floats grouped by n, their basis specs in the same
-    # order, and the position of each (p, n) in that order
-    _columns: List[Tuple[int, List[float]]] = field(init=False, repr=False)
-    _specs: List[BorelBasisSpec] = field(init=False, repr=False)
-    _index: Dict[Tuple[int, int], int] = field(init=False, repr=False)
+    # per n with a nonzero a_pn: n, those p in ascending order, and their a_pn as floats
+    _columns: List[Tuple[int, List[int], List[float]]] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self._columns, self._specs, self._index = [], [], {}
+        self._columns = []
         for n in range(self.N + 1):
             ps = [p for p in range(n, self.N + 1) if self.a[(p, n)] != 0]
             if ps:
-                self._columns.append((n, [float(self.a[(p, n)]) for p in ps]))
-            for p in ps:
-                self._index[(p, n)] = len(self._specs)
-                self._specs.append(self.basis_spec(p, n))
+                self._columns.append((n, ps, [float(self.a[(p, n)]) for p in ps]))
 
     def basis_spec(self, p: int, n: int) -> BorelBasisSpec:
         return BorelBasisSpec(
@@ -347,30 +331,32 @@ class ResummedApproximant:
             sigma=Fraction(self.params.sigma),
         )
 
-    def basis_values(self, g: float, quad: QuadratureSpec = DEFAULT_SPEC) -> List[float]:
-        """I_pn(g) for every nonzero a_pn, in (n, p) order, memoized."""
+    def basis_values(self, g: float, quad: QuadratureSpec = DEFAULT_SPEC) -> List[List[float]]:
+        """I_pn(g) for every nonzero a_pn, one list per column of ``_columns``, memoized."""
         key = (g, quad)
         values = self._cache.get(key)
         if values is None:
-            values = self._cache[key] = basis_integrals(self._specs, g, quad)
+            params = self.params
+            values = self._cache[key] = basis_integrals(
+                params.sigma, params.alpha,
+                [(n + params.b0_offset, ps) for n, ps, _ in self._columns], g, quad)
         return values
 
     def basis_value(self, p: int, n: int, g: float, quad: QuadratureSpec = DEFAULT_SPEC) -> float:
         """I_pn(g); from the memoized vector when a_pn != 0."""
-        i = self._index.get((p, n))
-        if i is None:
-            return basis_integral(self.basis_spec(p, n), g, quad)
-        return self.basis_values(g, quad)[i]
+        for i, (m, ps, _) in enumerate(self._columns):
+            if m == n and p in ps:
+                return self.basis_values(g, quad)[i][ps.index(p)]
+        return basis_integral(self.basis_spec(p, n), g, quad)
 
     def resum(self, g: float, y: float, quad: QuadratureSpec = DEFAULT_SPEC) -> float:
         if g <= 0:
             raise ValueError(f"requires g > 0, got {g}")
-        values = iter(self.basis_values(g, quad))
         total = 0.0
-        for n, coeffs in self._columns:
+        for (n, _, coeffs), values in zip(self._columns, self.basis_values(g, quad)):
             inner = 0.0
-            for coeff in coeffs:
-                inner += coeff * next(values)
+            for coeff, value in zip(coeffs, values):
+                inner += coeff * value
             total += inner * y**n
         return total
 
@@ -384,7 +370,7 @@ def build_approximant(
     a: Dict[Tuple[int, int], Fraction] = {}
     for n in range(N + 1):
         column = table.column(n, N)
-        for p, value in zip(range(n, N + 1), borel_coefficients(column, params, n, N)):
+        for p, value in zip(range(n, N + 1), borel_coefficients(column, params, n)):
             a[(p, n)] = value
     return ResummedApproximant(N=N, a=a, params=params, input_table=table)
 

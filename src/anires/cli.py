@@ -9,7 +9,10 @@ switches the flag value to raw g, in every command that takes --g4.
 Exit status is 0 only if every requested grid point evaluated successfully;
 failures are listed on stderr and flip the status to 1.  A reader that closes
 stdout early (`anires ... | head`) also gives status 1, without a traceback.
-A malformed flag value is a usage error (status 2) before any work starts.
+A malformed flag value (including a --g4 that is not positive), a missing
+required flag (--g4, and one of --delta and --delta-range, where a command
+takes them) and conflicting flags (--delta together with --delta-range) are
+usage errors (status 2) before any work starts.
 
 Environment: ANIRES_QUAD_TOL overrides the default quadrature tolerance, as
 --tol does; a malformed value is a usage error too.
@@ -53,6 +56,7 @@ _fraction = _arg(Fraction, "an exact decimal or fraction")
 _positive_fraction = _arg(Fraction, "an exact decimal or fraction > 0", lambda v: v > 0)
 _tolerance = _arg(float, "a number > 0", lambda v: v > 0)
 _count = _arg(int, "an integer >= 0", lambda v: v >= 0)
+_crossover_kmax = _arg(int, "an integer >= 16", lambda v: v >= 16)
 _orders = _arg(lambda text: [int(s) for s in text.split(",")], "comma-separated orders >= 0",
                lambda ks: min(ks) >= 0)
 
@@ -126,18 +130,12 @@ def _write_rows(path: Optional[str], header: Sequence[str], rows: Sequence[Seque
 def _g4_value(args, default: Optional[str] = None) -> Fraction:
     """The coupling g/4: --g4, divided by 4 under --raw-g, else ``default``."""
     if args.g4 is None:
-        if default is None:
-            raise SystemExit("need --g4")
         return Fraction(default)
     return args.g4 / 4 if args.raw_g else args.g4
 
 
 def _delta_grid(args) -> List[Fraction]:
-    if args.delta_range:
-        return args.delta_range
-    if args.delta is None:
-        raise SystemExit("need --delta or --delta-range")
-    return [args.delta]
+    return args.delta_range or [args.delta]
 
 
 def _run_grid(args, header: Sequence[str], evaluate: Callable[..., tuple],
@@ -204,8 +202,6 @@ def cmd_model_eval(args) -> int:
 
 
 def cmd_model_crossover(args) -> int:
-    if args.kmax < 16:
-        raise SystemExit("crossover scan needs --kmax >= 16")
     delta = float(args.delta)
     ks = []
     k = 16
@@ -314,19 +310,18 @@ def cmd_figures(args) -> int:
         header = ["delta"] + [f"e_N{N}" for N in orders] + ["vpt_baseline"]
         return _run_grid(args, header, qm_row,
                          [{"delta": d} for d in _parse_range("-3/2:2:1/10")])
-    if which == "fig7":
-        gbar = _g4_value(args, "1/10")
-        state = benderwu.build(5)
-        rows = []
-        for ds in ("-3/2", "-1/2", "1/2", "3/2"):
-            W = vpt.w_laurent(state.energy, 5, gbar, Fraction(ds))
-            om = 0.8
-            while om <= 2.0 + 1e-9:
-                rows.append((float(Fraction(ds)), round(om, 4), W.evaluate(om)))
-                om += 0.02
-        _write_rows(args.out, ["delta", "omega", "W"], rows, args.format)
-        return 0
-    raise SystemExit(f"unknown figure {which!r}")
+    # fig7, the last of the parser's choices
+    gbar = _g4_value(args, "1/10")
+    state = benderwu.build(5)
+    rows = []
+    for ds in ("-3/2", "-1/2", "1/2", "3/2"):
+        W = vpt.w_laurent(state.energy, 5, gbar, Fraction(ds))
+        om = 0.8
+        while om <= 2.0 + 1e-9:
+            rows.append((float(Fraction(ds)), round(om, 4), W.evaluate(om)))
+            om += 0.02
+    _write_rows(args.out, ["delta", "omega", "W"], rows, args.format)
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -336,17 +331,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def coupling(p, required):
+        p.add_argument("--g4", type=_positive_fraction, required=required,
+                       help="coupling g/4 > 0 (exact decimal or fraction)")
+        p.add_argument("--raw-g", action="store_true",
+                       help="interpret --g4 as raw g instead of g/4")
+
     def common(p, *, g4=False, delta=False, order=False, orders=False,
                sigma=False, kmax=None, tol=True):
         if g4:
-            p.add_argument("--g4", type=_fraction,
-                           help="coupling g/4 (exact decimal or fraction)")
-            p.add_argument("--raw-g", action="store_true",
-                           help="interpret --g4 as raw g instead of g/4")
+            coupling(p, required=True)
         if delta:
-            p.add_argument("--delta", type=_fraction,
-                           help="anisotropy (exact decimal or fraction)")
-            p.add_argument("--delta-range", type=_parse_range, help="grid start:stop:step")
+            grid = p.add_mutually_exclusive_group(required=True)
+            grid.add_argument("--delta", type=_fraction,
+                              help="anisotropy (exact decimal or fraction)")
+            grid.add_argument("--delta-range", type=_parse_range, help="grid start:stop:step")
         if order:
             p.add_argument("--order", type=_count, default=8, help="resummation order N")
         if orders:
@@ -372,7 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_model_eval)
 
     p = sub.add_parser("model-crossover", help="large-order crossover scan")
-    common(p, kmax=4096, tol=False)
+    common(p, tol=False)
+    p.add_argument("--kmax", type=_crossover_kmax, default=4096)
     p.add_argument("--delta", type=_fraction, required=True,
                    help="anisotropy (exact decimal or fraction)")
     p.set_defaults(fn=cmd_model_crossover)
@@ -407,7 +407,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--which", required=True,
                    choices=["fig1", "fig2a", "fig2b", "fig4", "fig5", "fig6",
                             "fig7", "fig8", "fig9"])
-    common(p, g4=True)
+    coupling(p, required=False)
+    common(p)
     p.add_argument("--sigma", type=_positive_fraction, default=None,
                    help="growth parameter override (default 3; 4 for fig8/fig9)")
     p.set_defaults(fn=cmd_figures)

@@ -36,7 +36,7 @@ from typing import List, NamedTuple, Union
 
 from .quadrature import DEFAULT_SPEC, QuadratureSpec, integrate_semiline
 from .series import CoefficientTable, LargeOrderParams
-from .specfun import ScaledValue, bessel_i0_scaled, legendre_scaled, log_gamma
+from .specfun import ScaledValue, bessel_i0_scaled, legendre_scaled
 
 __all__ = [
     "MODEL_SIGMA",
@@ -55,7 +55,6 @@ __all__ = [
     "large_order_estimate",
     "large_order_estimate_delta",
     "model_large_order_params",
-    "legendre_argument",
 ]
 
 MODEL_SIGMA = Fraction(4)
@@ -97,13 +96,6 @@ def z_coeff_delta(k: int, delta: Union[Fraction, int]) -> Fraction:
     return total
 
 
-def legendre_argument(delta: float) -> float:
-    """The Legendre argument (4-d) / (2 sqrt(4-2d)); >= 1 for all d < 2."""
-    if delta >= 2.0:
-        raise ValueError(f"requires delta < 2, got {delta}")
-    return (4.0 - delta) / (2.0 * math.sqrt(4.0 - 2.0 * delta))
-
-
 def z_coeff_delta_scaled(k: int, delta: float) -> ScaledValue:
     """Z_k(d) through the closed form
 
@@ -118,10 +110,12 @@ def z_coeff_delta_scaled(k: int, delta: float) -> ScaledValue:
         raise ValueError(f"negative order {k}")
     if k == 0:
         return ScaledValue.from_float(1.0)
-    x = legendre_argument(delta)
+    if delta >= 2.0:
+        raise ValueError(f"requires delta < 2, got {delta}")
+    x = (4.0 - delta) / (2.0 * math.sqrt(4.0 - 2.0 * delta))  # >= 1 for all d < 2
     ln_abs = (
-        log_gamma(2 * k + 1)
-        - log_gamma(k + 1)
+        math.lgamma(2 * k + 1)
+        - math.lgamma(k + 1)
         + 0.5 * k * math.log1p(-0.5 * delta)
         + legendre_scaled(k, x).ln()
     )
@@ -240,8 +234,8 @@ def imaginary_part(g_abs: float, delta: float, n_max: int) -> float:
 
 def gamma_n(n: int) -> float:
     """The prefactor gamma_n = (-1)^n Gamma(n+1/2) / (pi 2^n n!^2) of Z_kn."""
-    return (-1) ** n * math.exp(log_gamma(n + 0.5) - n * math.log(2.0)
-                                - 2.0 * log_gamma(n + 1.0)) / math.pi
+    return (-1) ** n * math.exp(math.lgamma(n + 0.5) - n * math.log(2.0)
+                                - 2.0 * math.lgamma(n + 1.0)) / math.pi
 
 
 def large_order_estimate(k: int, n: int, form: str = "power") -> ScaledValue:
@@ -261,9 +255,9 @@ def large_order_estimate(k: int, n: int, form: str = "power") -> ScaledValue:
     gamma = gamma_n(n)
     ln_common = math.log(abs(gamma)) + k * math.log(4.0)
     if form == "power":
-        ln_abs = ln_common + log_gamma(k + 1.0) + (n - 0.5) * math.log(k)
+        ln_abs = ln_common + math.lgamma(k + 1.0) + (n - 0.5) * math.log(k)
     elif form == "gamma":
-        ln_abs = ln_common + log_gamma(k + n + 0.5)
+        ln_abs = ln_common + math.lgamma(k + n + 0.5)
     else:
         raise ValueError(f"unknown form {form!r}")
     sign = (1 if gamma > 0 else -1) * (-1) ** k
@@ -281,14 +275,14 @@ def large_order_estimate_delta(k: int, delta: float) -> ScaledValue:
         raise ValueError("requires k >= 1")
     sign = -1 if k % 2 else 1
     if delta == 0.0:
-        ln_abs = -0.5 * math.log(math.pi) + k * math.log(4.0) + log_gamma(k + 1.0) - 0.5 * math.log(k)
+        ln_abs = -0.5 * math.log(math.pi) + k * math.log(4.0) + math.lgamma(k + 1.0) - 0.5 * math.log(k)
         return ScaledValue.from_log(sign, ln_abs)
     if delta > 0:
         ln_abs = (
             0.5 * math.log(2.0)
             - math.log(math.pi)
             + k * math.log(4.0)
-            + log_gamma(k + 1.0)
+            + math.lgamma(k + 1.0)
             - math.log(k)
             - 0.5 * math.log(delta)
         )
@@ -297,7 +291,7 @@ def large_order_estimate_delta(k: int, delta: float) -> ScaledValue:
         0.5 * math.log(2.0 - delta)
         - math.log(math.pi)
         + k * math.log(4.0 - 2.0 * delta)
-        + log_gamma(k + 1.0)
+        + math.lgamma(k + 1.0)
         - math.log(k)
         - 0.5 * math.log(-delta)
     )

@@ -32,7 +32,7 @@ from typing import List, Union
 from .borel import ResummedApproximant, build_approximant
 from .model import ImaginaryPartTerm
 from .series import CoefficientTable, LargeOrderParams
-from .specfun import ScaledValue, log_gamma
+from .specfun import ScaledValue
 
 __all__ = [
     "QM_ALPHA",
@@ -91,8 +91,9 @@ def qm_imaginary_part(g_abs: float, delta: float, n_max: int) -> float:
     return total
 
 
-def qm_large_order_estimate(k: int, n: int, sigma_in_gbar: float = 3.0) -> ScaledValue:
-    """gamma_n (-1)^k sigma^k k! k^n in scaled form (estimate of E_kn)."""
+def qm_large_order_estimate(k: int, n: int) -> ScaledValue:
+    """gamma_n (-1)^k sigma^k k! k^n in scaled form (estimate of E_kn), with
+    sigma = QM_DEFAULT_SIGMA."""
     if k < 1:
         raise ValueError("requires k >= 1")
     if n < 0:
@@ -100,8 +101,8 @@ def qm_large_order_estimate(k: int, n: int, sigma_in_gbar: float = 3.0) -> Scale
     gamma = qm_gamma_n(n)
     ln_abs = (
         math.log(abs(gamma))
-        + k * math.log(sigma_in_gbar)
-        + log_gamma(k + 1.0)
+        + k * math.log(QM_DEFAULT_SIGMA)
+        + math.lgamma(k + 1.0)
         + n * math.log(k)
     )
     sign = (1 if gamma > 0 else -1) * (-1) ** k

@@ -14,7 +14,7 @@ table in log space: for coefficients behaving like
 and estimates beta locally from two-point differences on the given k grid.
 The crossover order is reported where the local slope first drops through the
 midpoint between the two asymptotic regimes (beta = -1/2 and beta = -1), i.e.
-through -3/4 by default.  The midpoint definition is this package's own
+through -3/4.  The midpoint definition is this package's own
 convention; the qualitative statement it implements is only that the switch
 happens near k ~ 1/|d|.
 """
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .specfun import ScaledValue, log_gamma
+from .specfun import ScaledValue
 
 __all__ = [
     "CoefficientTable",
@@ -38,6 +38,9 @@ __all__ = [
 ]
 
 Coefficient = Union[Fraction, int, float, ScaledValue]
+
+# the crossover slope: package convention, midpoint of -1/2 and -1
+_CROSSOVER_SLOPE = -0.75
 
 
 class CoefficientTable:
@@ -116,7 +119,6 @@ class CrossoverReport:
     f_values: Tuple[float, ...]
     beta_local: Tuple[float, ...]  # slope on (k_i, k_{i+1}), one fewer entry
     k_cross: Optional[int]
-    threshold: float = -0.75  # package convention, midpoint of -1/2 and -1
 
 
 def log_abs_fraction(value: Fraction) -> float:
@@ -148,7 +150,6 @@ def local_exponent(
     column: Sequence[Coefficient],
     sigma: float,
     k_grid: Sequence[int],
-    threshold: float = -0.75,
 ) -> CrossoverReport:
     """Local growth exponent of a sign-alternating coefficient column.
 
@@ -156,7 +157,7 @@ def local_exponent(
     exact rationals, floats, or :class:`ScaledValue`.  The column must
     alternate in sign as (-1)^k across the grid.  Returns f(k), the two-point
     slopes, and the first grid point whose incoming slope has crossed
-    ``threshold`` (None if no crossing inside the grid).
+    -3/4 (None if no crossing inside the grid).
     """
     if len(k_grid) < 2:
         raise ValueError("k_grid needs at least 2 points")
@@ -178,17 +179,17 @@ def local_exponent(
             raise ValueError(f"sign pattern violated at k={k}")
 
     ln_sigma = math.log(sigma)
-    fs = [_ln_abs(c) - k * ln_sigma - log_gamma(k + 1) for k, c in zip(ks, column)]
+    fs = [_ln_abs(c) - k * ln_sigma - math.lgamma(k + 1) for k, c in zip(ks, column)]
     betas = [
         (fs[i + 1] - fs[i]) / (math.log(ks[i + 1]) - math.log(ks[i]))
         for i in range(len(ks) - 1)
     ]
     k_cross: Optional[int] = None
     for i, beta in enumerate(betas):
-        if beta < threshold:
+        if beta < _CROSSOVER_SLOPE:
             k_cross = ks[i + 1]
             break
-    return CrossoverReport(tuple(ks), tuple(fs), tuple(betas), k_cross, threshold)
+    return CrossoverReport(tuple(ks), tuple(fs), tuple(betas), k_cross)
 
 
 def truncated_double_sum(
@@ -197,28 +198,20 @@ def truncated_double_sum(
     delta: Union[Fraction, int, float],
     K: int,
 ) -> Union[Fraction, float]:
-    """Partial sum  sum_{k<=K} sum_{n<=k} c_{kn} g^k d^n.
+    """Partial sum  sum_{k<=K} sum_{n<=k} c_{kn} g^k d^n, in exact arithmetic.
 
-    Exact rational when both g and delta are exact (int or Fraction), float
-    otherwise.
+    Float arguments are converted exactly; the sum is then returned as a
+    float, else as a Fraction.
     """
     if K > table.kmax:
         raise ValueError(f"K={K} exceeds table kmax={table.kmax}")
-    exact = isinstance(g, (int, Fraction)) and isinstance(delta, (int, Fraction))
-    if exact:
-        gq, dq = Fraction(g), Fraction(delta)
-        total = Fraction(0)
-        for k in range(K + 1):
-            inner = Fraction(0)
-            for n in range(k + 1):
-                inner += table.entry(k, n) * dq**n
-            total += inner * gq**k
-        return total
-    gf, df = float(g), float(delta)
-    total_f = 0.0
+    gq, dq = Fraction(g), Fraction(delta)
+    total = Fraction(0)
     for k in range(K + 1):
-        inner_f = 0.0
-        for n in range(k, -1, -1):  # Horner in delta
-            inner_f = inner_f * df + float(table.entry(k, n))
-        total_f += inner_f * gf**k
-    return total_f
+        inner = Fraction(0)
+        for n in range(k + 1):
+            inner += table.entry(k, n) * dq**n
+        total += inner * gq**k
+    if isinstance(g, float) or isinstance(delta, float):
+        return float(total)
+    return total

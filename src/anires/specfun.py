@@ -23,7 +23,6 @@ from typing import Union
 
 __all__ = [
     "ScaledValue",
-    "log_gamma",
     "generalized_binomial",
     "legendre_scaled",
     "bessel_i0_scaled",
@@ -89,63 +88,27 @@ class ScaledValue:
             return 0.0
         return self.sign * math.ldexp(self.mantissa, self.exponent)
 
-    __float__ = to_float
-
     def ln(self) -> float:
         """Natural log of the magnitude."""
         if self.sign == 0:
             raise ValueError("log of zero")
         return math.log(self.mantissa) + self.exponent * _LN2
 
-    def __mul__(self, other: "ScaledValue") -> "ScaledValue":
-        if not isinstance(other, ScaledValue):
-            return NotImplemented
-        if self.sign == 0 or other.sign == 0:
-            return ScaledValue(0, 0.0, 0)
-        m = self.mantissa * other.mantissa  # in [1, 4)
-        e = self.exponent + other.exponent
-        if m >= 2.0:
-            m /= 2.0
-            e += 1
-        return ScaledValue(self.sign * other.sign, m, e)
 
-    def __neg__(self) -> "ScaledValue":
-        return ScaledValue(-self.sign, self.mantissa, self.exponent)
-
-    def __abs__(self) -> "ScaledValue":
-        return ScaledValue(abs(self.sign), self.mantissa, self.exponent)
-
-
-def log_gamma(x: float) -> float:
-    """ln Gamma(x) for x > 0.
-
-    Thin wrapper over :func:`math.lgamma` restricted to the positive axis,
-    where the relative error is a few ulp (<= 1e-13 everywhere tested).
-    """
-    if x <= 0:
-        raise ValueError(f"log_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
-
-
-def generalized_binomial(x: Union[int, Fraction, float], m: int):
+def generalized_binomial(x: Union[int, Fraction, float], m: int) -> Fraction:
     """Binomial coefficient ``C(x, m) = x (x-1) ... (x-m+1) / m!`` for real x.
 
     The upper index may be any real number (negative and fractional upper
-    indices both occur in the reexpansion formulas).  Exact
-    :class:`~fractions.Fraction` arithmetic is used whenever ``x`` is an int
-    or a Fraction; floats fall back to float arithmetic.
+    indices both occur in the reexpansion formulas).  The result is an exact
+    :class:`~fractions.Fraction`; a float ``x`` is converted exactly first.
     """
     if m < 0:
         raise ValueError(f"lower index must be >= 0, got {m}")
-    if isinstance(x, (int, Fraction)):
-        num = Fraction(1)
-        for i in range(m):
-            num *= Fraction(x) - i
-        return num / math.factorial(m)
-    prod = 1.0
+    xq = Fraction(x)
+    num = Fraction(1)
     for i in range(m):
-        prod *= x - i
-    return prod / math.factorial(m)
+        num *= xq - i
+    return num / math.factorial(m)
 
 
 def legendre_scaled(k: int, x: float) -> ScaledValue:

@@ -75,14 +75,6 @@ class LaurentInOmega:
         """Sum of term magnitudes at omega: the natural cancellation scale."""
         return sum(abs(float(c)) * omega**p for p, c in self.terms.items())
 
-    @property
-    def min_power(self) -> int:
-        return min(self.terms)
-
-    @property
-    def max_power(self) -> int:
-        return max(self.terms)
-
 
 def _energy_slices(table: CoefficientTable, k: int, delta: Exactish) -> List[Fraction]:
     """E_j(d) = sum_{n<=j} E_jn (2d)^n for j = 0 .. k."""

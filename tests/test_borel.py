@@ -62,13 +62,9 @@ class TestBorelCoefficients:
     def test_linearity_in_column(self):
         params = model_large_order_params()
         col = [z_coeff(k, 1) for k in range(1, 6)]
-        a1 = borel_coefficients(col, params, 1, 5)
-        a3 = borel_coefficients([3 * c for c in col], params, 1, 5)
+        a1 = borel_coefficients(col, params, 1)
+        a3 = borel_coefficients([3 * c for c in col], params, 1)
         assert a3 == [3 * v for v in a1]
-
-    def test_column_length_validated(self):
-        with pytest.raises(ValueError):
-            borel_coefficients([Fraction(1)], model_large_order_params(), 0, 3)
 
 
 class TestBasisSeriesCoefficient:
@@ -90,7 +86,7 @@ class TestBasisSeriesCoefficient:
         for p in (0, 2, 5):
             spec = model_spec(p, 0)
             column = [basis_series_coefficient(spec, k) for k in range(N + 1)]
-            a = borel_coefficients(column, params, 0, N)
+            a = borel_coefficients(column, params, 0)
             expected = [Fraction(1) if q == p else Fraction(0) for q in range(N + 1)]
             assert a == expected
 
@@ -231,24 +227,23 @@ class TestApproximant:
 
 class TestSharedNodeBasis:
     def test_vector_matches_scalar(self):
-        # mixed columns, a gap in p within a column, and input order kept
-        specs = [model_spec(5, 2), model_spec(0, 0), model_spec(2, 2), model_spec(3, 0),
-                 model_spec(7, 7)]
+        # several columns, not in b0 order, gaps in p within a column, and the
+        # column order kept; columns are (b0, ps) with b0 = n + 1
+        columns = [(Fraction(3), [2, 5]), (Fraction(1), [0, 3]), (Fraction(8), [7])]
         for g in (0.05, 1.0, 20.0):
-            got = basis_integrals(specs, g, TIGHT)
-            for spec, value in zip(specs, got):
-                assert value == pytest.approx(basis_integral_tform(spec, g, TIGHT), rel=1e-10)
+            got = basis_integrals(Fraction(4), Fraction(-1, 2), columns, g, TIGHT)
+            assert [len(values) for values in got] == [2, 2, 1]
+            for (b0, ps), values in zip(columns, got):
+                for p, value in zip(ps, values):
+                    want = basis_integral_tform(model_spec(p, b0 - 1), g, TIGHT)
+                    assert value == pytest.approx(want, rel=1e-10)
 
     def test_small_coupling_series_branch(self):
-        specs = [model_spec(0, 0), model_spec(1, 1)]
-        assert basis_integrals(specs, 1e-5, TIGHT) == [
-            basis_integral(spec, 1e-5, TIGHT) for spec in specs
+        columns = [(Fraction(1), [0]), (Fraction(2), [1])]
+        assert basis_integrals(Fraction(4), Fraction(-1, 2), columns, 1e-5, TIGHT) == [
+            [basis_integral(model_spec(0, 0), 1e-5, TIGHT)],
+            [basis_integral(model_spec(1, 1), 1e-5, TIGHT)],
         ]
-
-    def test_specs_must_share_sigma_and_alpha(self):
-        other = BorelBasisSpec(p=0, b0=Fraction(1), alpha=Fraction(-1, 2), sigma=Fraction(3))
-        with pytest.raises(ValueError):
-            basis_integrals([model_spec(0, 0), other], 1.0)
 
     def test_basis_value_accessor(self, model_approx_12):
         # a nonzero a_pn reads the memoized vector; a zero one is computed alone

@@ -104,8 +104,9 @@ class TestCrossoverCommand:
         assert abs(float(rows[2][2]) + 1.0) < 0.02
 
     def test_kmax_floor(self):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exc:
             main(["model-crossover", "--delta", "0.01", "--kmax", "8"])
+        assert exc.value.code == 2
 
     @pytest.mark.parametrize("argv", [["--kmax", "32"],
                                       ["--delta", "1", "--delta-range=0:1:1"]],
@@ -287,6 +288,11 @@ def test_partial_failure_sets_exit_status(argv, written, failed, tmp_path, monke
 @pytest.mark.parametrize("argv, env", [
     (["model-eval", "--g4", "abc", "--delta", "0"], None),
     (["model-eval", "--g4", "1/0", "--delta", "0"], None),
+    (["vpt", "--g4", "0", "--delta", "0", "--orders", "1"], None),
+    (["model-eval", "--g4=-1", "--delta", "0"], None),
+    (["model-eval", "--delta", "0"], None),
+    (["model-eval", "--g4", "0.1"], None),
+    (["model-eval", "--g4", "0.1", "--delta", "0", "--delta-range", "0:1:1"], None),
     (["model-eval", "--g4", "0.1", "--delta", "x"], None),
     (["model-eval", "--g4", "0.1", "--delta-range", "a:b:c"], None),
     (["model-eval", "--g4", "0.1", "--delta-range", "1:2"], None),
@@ -304,12 +310,14 @@ def test_partial_failure_sets_exit_status(argv, written, failed, tmp_path, monke
     (["qm-resum", "--g4", "0.1", "--delta", "0", "--vpt-baseline", "x"], None),
     (["model-eval", "--g4", "0.1", "--delta", "0"], "abc"),
     (["model-eval", "--g4", "0.1", "--delta", "0"], "0"),
-], ids=["g4", "g4-zero-denominator", "delta", "range-values", "range-parts", "range-empty",
+], ids=["g4", "g4-zero-denominator", "g4-zero", "g4-negative", "g4-missing", "delta-missing",
+        "delta-and-range", "delta", "range-values", "range-parts", "range-empty",
         "range-step", "tol", "crossover-delta", "sigma", "sigma-zero", "figures-sigma",
         "orders", "orders-negative", "kmax-negative", "order-negative", "vpt-baseline",
         "env-tol", "env-tol-zero"])
 def test_malformed_value_is_usage_error(argv, env, monkeypatch, capsys):
-    # a bad flag value or ANIRES_QUAD_TOL stops before any work, with usage and status 2
+    # a bad, missing or conflicting flag value, or a bad ANIRES_QUAD_TOL, stops before
+    # any work, with usage and status 2
     if env is not None:
         monkeypatch.setenv("ANIRES_QUAD_TOL", env)
     with pytest.raises(SystemExit) as exc:

@@ -63,8 +63,8 @@ class TestWLaurent:
 
     def test_power_range(self, qm_table):
         W = w_laurent(qm_table, 5, Fraction(1, 10), Fraction(1, 2))
-        assert W.min_power >= 1 - 3 * 5
-        assert W.max_power <= 1
+        assert min(W.terms) >= 1 - 3 * 5
+        assert max(W.terms) <= 1
 
     def test_isotropy_reduction(self, qm_table):
         # at d = 0 only the n = 0 column contributes: poisoning n >= 1
