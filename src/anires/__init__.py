@@ -2,9 +2,9 @@
 
 Subpackage map:
 
-* :mod:`anires.specfun`    scalar special functions, scaled arithmetic
+* :mod:`anires.specfun`    scalar special functions, scaled Legendre and Bessel
 * :mod:`anires.quadrature` double-exponential integrators on (0,1), (0,inf)
-* :mod:`anires.series`     exact coefficient tables, crossover diagnostics
+* :mod:`anires.series`     exact coefficient tables, large-order law, crossover
 * :mod:`anires.model`      the 2-D quartic model integral, exact and numeric
 * :mod:`anires.borel`      hypergeometric-Borel resummation engine
 * :mod:`anires.benderwu`   exact oscillator perturbation coefficients
@@ -13,7 +13,7 @@ Subpackage map:
 * :mod:`anires.cli`        command-line interface (`anires ...`)
 """
 
-from .specfun import ScaledValue, bessel_i0_scaled, generalized_binomial, legendre_scaled
+from .specfun import bessel_i0_scaled, generalized_binomial, legendre_scaled
 from .quadrature import (
     DEFAULT_SPEC,
     QuadratureError,
@@ -26,6 +26,8 @@ from .series import (
     CoefficientTable,
     CrossoverReport,
     LargeOrderParams,
+    SignedLog,
+    large_order_estimate,
     local_exponent,
     truncated_double_sum,
 )
@@ -35,7 +37,6 @@ from .model import (
     gamma_n,
     imaginary_part,
     imaginary_part_terms,
-    large_order_estimate,
     large_order_estimate_delta,
     model_large_order_params,
     strong_coupling_kappa,
@@ -62,7 +63,6 @@ from .qm import (
     qm_gamma_n,
     qm_imaginary_part,
     qm_imaginary_terms,
-    qm_large_order_estimate,
     qm_large_order_params,
 )
 from .vpt import (

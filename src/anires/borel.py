@@ -365,6 +365,8 @@ def build_approximant(
     table: CoefficientTable, N: int, params: LargeOrderParams
 ) -> ResummedApproximant:
     """Assemble the a_pn triangle from the first N+1 orders of the table."""
+    if N < 0:
+        raise ValueError(f"order N must be >= 0, got {N}")
     if N > table.kmax:
         raise ValueError(f"N={N} exceeds table kmax={table.kmax}")
     a: Dict[Tuple[int, int], Fraction] = {}

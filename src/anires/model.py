@@ -10,15 +10,16 @@ computable, which makes it the testing ground for the resummation machinery:
 
 * exact double-series coefficients ``Z_kn`` (:func:`z_coeff`) and the
   single-series coefficients ``Z_k(d)`` both as exact polynomials
-  (:func:`z_coeff_delta`) and in scaled-float form through a Legendre
+  (:func:`z_coeff_delta`) and as a sign and a log through a Legendre
   closed form (:func:`z_coeff_delta_scaled`),
 * a one-dimensional Bessel-kernel reference integral (:func:`z_reference`),
 * the strong-coupling prefactor kappa(d) with Z -> kappa(d) g^{-1/2}
   (:func:`strong_coupling_kappa`),
 * the tunneling imaginary part on the negative-g cut, organized per power of
-  the anisotropy (:func:`imaginary_part_terms`), and the large-order
-  estimates it induces through the dispersion relation
-  (:func:`large_order_estimate`).
+  the anisotropy (:func:`imaginary_part_terms`), and the prefactor
+  :func:`gamma_n` of the large-order law it induces through the dispersion
+  relation (evaluated by :func:`anires.series.large_order_estimate`), with
+  the fixed-d estimate :func:`large_order_estimate_delta`.
 
 Conventions: coefficients are defined by Z = sum_{k,n} Z_kn g^k d^n; the sign
 pattern is sign(Z_kn) = (-1)^{k+n}.  The imaginary part is stored as positive
@@ -35,8 +36,8 @@ from fractions import Fraction
 from typing import List, NamedTuple, Union
 
 from .quadrature import DEFAULT_SPEC, QuadratureSpec, integrate_semiline
-from .series import CoefficientTable, LargeOrderParams
-from .specfun import ScaledValue, bessel_i0_scaled, legendre_scaled
+from .series import CoefficientTable, LargeOrderParams, SignedLog
+from .specfun import bessel_i0_scaled, legendre_scaled
 
 __all__ = [
     "MODEL_SIGMA",
@@ -52,7 +53,6 @@ __all__ = [
     "imaginary_part_terms",
     "imaginary_part",
     "gamma_n",
-    "large_order_estimate",
     "large_order_estimate_delta",
     "model_large_order_params",
 ]
@@ -96,7 +96,7 @@ def z_coeff_delta(k: int, delta: Union[Fraction, int]) -> Fraction:
     return total
 
 
-def z_coeff_delta_scaled(k: int, delta: float) -> ScaledValue:
+def z_coeff_delta_scaled(k: int, delta: float) -> SignedLog:
     """Z_k(d) through the closed form
 
     Z_k(d) = ((-1)^k / k!) (2k)! (1 - d/2)^{k/2} P_k((4-d)/(2 sqrt(4-2d))),
@@ -108,18 +108,19 @@ def z_coeff_delta_scaled(k: int, delta: float) -> ScaledValue:
     """
     if k < 0:
         raise ValueError(f"negative order {k}")
-    if k == 0:
-        return ScaledValue.from_float(1.0)
     if delta >= 2.0:
         raise ValueError(f"requires delta < 2, got {delta}")
+    if k == 0:
+        return SignedLog(1, 0.0)
     x = (4.0 - delta) / (2.0 * math.sqrt(4.0 - 2.0 * delta))  # >= 1 for all d < 2
+    mantissa, exponent = legendre_scaled(k, x)
     ln_abs = (
         math.lgamma(2 * k + 1)
         - math.lgamma(k + 1)
         + 0.5 * k * math.log1p(-0.5 * delta)
-        + legendre_scaled(k, x).ln()
+        + (math.log(mantissa) + exponent * math.log(2.0))  # ln P_k(x)
     )
-    return ScaledValue.from_log(-1 if k % 2 else 1, ln_abs)
+    return SignedLog(-1 if k % 2 else 1, ln_abs)
 
 
 def z_reference(g: float, delta: float, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
@@ -233,38 +234,15 @@ def imaginary_part(g_abs: float, delta: float, n_max: int) -> float:
 
 
 def gamma_n(n: int) -> float:
-    """The prefactor gamma_n = (-1)^n Gamma(n+1/2) / (pi 2^n n!^2) of Z_kn."""
+    """The prefactor gamma_n = (-1)^n Gamma(n+1/2) / (pi 2^n n!^2) of
+    Z_kn ~ gamma_n (-4)^k k! k^{n-1/2}, the law that
+    ``series.large_order_estimate(model_large_order_params(), gamma_n(n), k, n)``
+    evaluates."""
     return (-1) ** n * math.exp(math.lgamma(n + 0.5) - n * math.log(2.0)
                                 - 2.0 * math.lgamma(n + 1.0)) / math.pi
 
 
-def large_order_estimate(k: int, n: int, form: str = "power") -> ScaledValue:
-    r"""Asymptotic estimate of Z_kn for k >> n, in scaled form, with :func:`gamma_n`.
-
-    form="power" (default):  Z_kn ~ gamma_n (-4)^k k! k^{n-1/2}
-
-    form="gamma":            Z_kn ~ gamma_n (-4)^k Gamma(k+n+1/2)
-
-    The gamma form is exactly what the dispersion integral over the leading
-    imaginary part produces; the two forms differ by O(1/k).
-    """
-    if k < 1:
-        raise ValueError("requires k >= 1")
-    if n < 0:
-        raise ValueError("requires n >= 0")
-    gamma = gamma_n(n)
-    ln_common = math.log(abs(gamma)) + k * math.log(4.0)
-    if form == "power":
-        ln_abs = ln_common + math.lgamma(k + 1.0) + (n - 0.5) * math.log(k)
-    elif form == "gamma":
-        ln_abs = ln_common + math.lgamma(k + n + 0.5)
-    else:
-        raise ValueError(f"unknown form {form!r}")
-    sign = (1 if gamma > 0 else -1) * (-1) ** k
-    return ScaledValue.from_log(sign, ln_abs)
-
-
-def large_order_estimate_delta(k: int, delta: float) -> ScaledValue:
+def large_order_estimate_delta(k: int, delta: float) -> SignedLog:
     """Regime-resolved estimate of Z_k(d) at fixed d.
 
     d > 0: growth 4^k with subleading k^{-1},
@@ -276,7 +254,7 @@ def large_order_estimate_delta(k: int, delta: float) -> ScaledValue:
     sign = -1 if k % 2 else 1
     if delta == 0.0:
         ln_abs = -0.5 * math.log(math.pi) + k * math.log(4.0) + math.lgamma(k + 1.0) - 0.5 * math.log(k)
-        return ScaledValue.from_log(sign, ln_abs)
+        return SignedLog(sign, ln_abs)
     if delta > 0:
         ln_abs = (
             0.5 * math.log(2.0)
@@ -286,7 +264,7 @@ def large_order_estimate_delta(k: int, delta: float) -> ScaledValue:
             - math.log(k)
             - 0.5 * math.log(delta)
         )
-        return ScaledValue.from_log(sign, ln_abs)
+        return SignedLog(sign, ln_abs)
     ln_abs = (
         0.5 * math.log(2.0 - delta)
         - math.log(math.pi)
@@ -295,7 +273,7 @@ def large_order_estimate_delta(k: int, delta: float) -> ScaledValue:
         - math.log(k)
         - 0.5 * math.log(-delta)
     )
-    return ScaledValue.from_log(sign, ln_abs)
+    return SignedLog(sign, ln_abs)
 
 
 def model_large_order_params() -> LargeOrderParams:

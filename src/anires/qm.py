@@ -32,7 +32,6 @@ from typing import List, Union
 from .borel import ResummedApproximant, build_approximant
 from .model import ImaginaryPartTerm
 from .series import CoefficientTable, LargeOrderParams
-from .specfun import ScaledValue
 
 __all__ = [
     "QM_ALPHA",
@@ -42,7 +41,6 @@ __all__ = [
     "qm_large_order_params",
     "qm_imaginary_terms",
     "qm_imaginary_part",
-    "qm_large_order_estimate",
     "qm_approximant",
 ]
 
@@ -58,7 +56,9 @@ def beta_symmetric_half(n: int) -> float:
 
 
 def qm_gamma_n(n: int) -> float:
-    """The prefactor gamma_n of E_kn ~ gamma_n (-1)^k sigma^k k! k^n (module docstring)."""
+    """The prefactor gamma_n of E_kn ~ gamma_n (-1)^k sigma^k k! k^n (module docstring);
+    ``series.large_order_estimate(qm_large_order_params(), qm_gamma_n(n), k, n)``
+    evaluates the law."""
     return -((-1) ** n) * (6.0 / math.pi**2) * beta_symmetric_half(n) / math.factorial(n)
 
 
@@ -89,24 +89,6 @@ def qm_imaginary_part(g_abs: float, delta: float, n_max: int) -> float:
     for term in qm_imaginary_terms(n_max):
         total += (-delta) ** term.n * term.magnitude(g_abs)
     return total
-
-
-def qm_large_order_estimate(k: int, n: int) -> ScaledValue:
-    """gamma_n (-1)^k sigma^k k! k^n in scaled form (estimate of E_kn), with
-    sigma = QM_DEFAULT_SIGMA."""
-    if k < 1:
-        raise ValueError("requires k >= 1")
-    if n < 0:
-        raise ValueError("requires n >= 0")
-    gamma = qm_gamma_n(n)
-    ln_abs = (
-        math.log(abs(gamma))
-        + k * math.log(QM_DEFAULT_SIGMA)
-        + math.lgamma(k + 1.0)
-        + n * math.log(k)
-    )
-    sign = (1 if gamma > 0 else -1) * (-1) ** k
-    return ScaledValue.from_log(sign, ln_abs)
 
 
 def qm_approximant(

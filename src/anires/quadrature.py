@@ -55,8 +55,8 @@ class QuadratureSpec:
     """Tolerances and refinement budget for the adaptive integrators.
 
     Frozen and hashable, so that it can key caches of integrated values.
-    No level before the second refinement is accepted, so a budget of one
-    refinement always raises :class:`QuadratureError`.
+    No level before the second refinement is accepted, so the budget must
+    allow at least two refinements.
     """
 
     abs_tol: float = 1e-12
@@ -66,8 +66,8 @@ class QuadratureSpec:
     def __post_init__(self) -> None:
         if self.abs_tol <= 0 or self.rel_tol <= 0:
             raise ValueError("tolerances must be positive")
-        if self.max_refinements < 1:
-            raise ValueError("max_refinements must be >= 1")
+        if self.max_refinements < _MIN_LEVEL:
+            raise ValueError(f"max_refinements must be >= {_MIN_LEVEL}")
 
 
 DEFAULT_SPEC = QuadratureSpec()

@@ -17,6 +17,10 @@ midpoint between the two asymptotic regimes (beta = -1/2 and beta = -1), i.e.
 through -3/4.  The midpoint definition is this package's own
 convention; the qualitative statement it implements is only that the switch
 happens near k ~ 1/|d|.
+
+:func:`large_order_estimate` evaluates the law itself from an application's
+:class:`LargeOrderParams` and prefactor gamma_n.  Magnitudes beyond the float
+range travel as a :class:`SignedLog`, a sign and a natural log.
 """
 
 from __future__ import annotations
@@ -24,20 +28,29 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
-
-from .specfun import ScaledValue
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 __all__ = [
     "CoefficientTable",
     "LargeOrderParams",
+    "SignedLog",
     "CrossoverReport",
+    "large_order_estimate",
     "local_exponent",
     "truncated_double_sum",
     "log_abs_fraction",
 ]
 
-Coefficient = Union[Fraction, int, float, ScaledValue]
+
+class SignedLog(NamedTuple):
+    """The real number ``sign * exp(ln)``: a magnitude far beyond the float
+    range, kept as its natural log."""
+
+    sign: int
+    ln: float
+
+
+Coefficient = Union[Fraction, int, float, SignedLog]
 
 # the crossover slope: package convention, midpoint of -1/2 and -1
 _CROSSOVER_SLOPE = -0.75
@@ -128,16 +141,44 @@ def log_abs_fraction(value: Fraction) -> float:
     return math.log(abs(value.numerator)) - math.log(value.denominator)
 
 
+def large_order_estimate(
+    params: LargeOrderParams, gamma: float, k: int, n: int, form: str = "power"
+) -> SignedLog:
+    r"""Leading large-order estimate of c_kn, with beta(n) = n + b0_offset - 3/2.
+
+    form="power" (default):  c_kn ~ gamma (-sigma)^k k! k^{beta(n)}
+
+    form="gamma":            c_kn ~ gamma (-sigma)^k Gamma(k + beta(n) + 1)
+
+    ``gamma`` is the application's prefactor gamma_n.  The gamma form is what
+    the dispersion integral over the leading imaginary part produces; the two
+    forms differ by O(1/k).
+    """
+    if k < 1:
+        raise ValueError("requires k >= 1")
+    if n < 0:
+        raise ValueError("requires n >= 0")
+    beta = n + float(params.b0_offset) - 1.5
+    ln_common = math.log(abs(gamma)) + k * math.log(float(params.sigma))
+    if form == "power":
+        ln_abs = ln_common + math.lgamma(k + 1.0) + beta * math.log(k)
+    elif form == "gamma":
+        ln_abs = ln_common + math.lgamma(k + beta + 1.0)
+    else:
+        raise ValueError(f"unknown form {form!r}")
+    return SignedLog((1 if gamma > 0 else -1) * (-1) ** k, ln_abs)
+
+
 def _ln_abs(value: Coefficient) -> float:
-    if isinstance(value, ScaledValue):
-        return value.ln()
+    if isinstance(value, SignedLog):
+        return value.ln
     if isinstance(value, Fraction):
         return log_abs_fraction(value)
     return math.log(abs(value))
 
 
 def _sign(value: Coefficient) -> int:
-    if isinstance(value, ScaledValue):
+    if isinstance(value, SignedLog):
         return value.sign
     if value > 0:
         return 1
@@ -154,7 +195,7 @@ def local_exponent(
     """Local growth exponent of a sign-alternating coefficient column.
 
     ``column[i]`` is the coefficient c_k at k = ``k_grid[i]``; entries may be
-    exact rationals, floats, or :class:`ScaledValue`.  The column must
+    exact rationals, floats, or :class:`SignedLog`.  The column must
     alternate in sign as (-1)^k across the grid.  Returns f(k), the two-point
     slopes, and the first grid point whose incoming slope has crossed
     -3/4 (None if no crossing inside the grid).

@@ -2,97 +2,29 @@ r"""Scalar special functions with overflow-safe scaled variants.
 
 The quantities handled downstream (factorially growing series coefficients,
 Legendre polynomials of degree up to ~10^5) overflow IEEE doubles long before
-the diagnostics that consume them are done.  Everything here therefore comes
-in one of two flavours:
-
-* exact rational, via :class:`fractions.Fraction`, for table entries, or
-* a :class:`ScaledValue`, a float mantissa in ``[1, 2)`` with an unbounded
-  integer power of two, for magnitudes whose *logarithm* is what matters.
-
-The exponentially scaled Bessel function ``e^{-x} I_0(x)`` and the scaled
-Legendre recurrence are the two workhorses; both are pure scalar code with no
-external dependencies.
+the diagnostics that consume them are done.  The binomials here are therefore
+exact rationals (:class:`fractions.Fraction`), the Legendre recurrence keeps
+a float mantissa in ``[1, 2)`` with an unbounded integer power of two, and the
+Bessel function comes exponentially scaled as ``e^{-x} I_0(x)``.  All of it is
+pure scalar code with no external dependencies.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Tuple, Union
 
 __all__ = [
-    "ScaledValue",
     "generalized_binomial",
     "legendre_scaled",
     "bessel_i0_scaled",
 ]
 
-_LN2 = math.log(2.0)
-
 # Exact power series below, asymptotic expansion above.  At the switch point
 # the asymptotic tail bottoms out near 1e-14 relative, the series needs ~60
 # terms; both sides hold 1e-13.
 _BESSEL_SWITCH = 30.0
-
-
-@dataclass(frozen=True)
-class ScaledValue:
-    """A real number ``sign * mantissa * 2**exponent``.
-
-    ``mantissa`` lies in ``[1, 2)`` (or is exactly ``0.0`` together with
-    ``sign == 0``); ``exponent`` is an arbitrary Python integer, so values
-    with ``|log2| ~ 1e7`` are representable without overflow.
-    """
-
-    sign: int
-    mantissa: float
-    exponent: int
-
-    def __post_init__(self) -> None:
-        if self.sign == 0:
-            if self.mantissa != 0.0:
-                raise ValueError("zero sign requires zero mantissa")
-        elif self.sign in (-1, 1):
-            if not 1.0 <= self.mantissa < 2.0:
-                raise ValueError(f"mantissa {self.mantissa} outside [1, 2)")
-        else:
-            raise ValueError(f"sign must be -1, 0 or +1, got {self.sign}")
-
-    @classmethod
-    def from_float(cls, value: float) -> "ScaledValue":
-        """Pack a float exactly; ``unpack(pack(x)) == x`` for all finite x."""
-        if value == 0.0:
-            return cls(0, 0.0, 0)
-        if not math.isfinite(value):
-            raise ValueError("cannot pack a non-finite value")
-        m, e = math.frexp(abs(value))  # m in [0.5, 1)
-        return cls(1 if value > 0 else -1, 2.0 * m, e - 1)
-
-    @classmethod
-    def from_log(cls, sign: int, ln_abs: float) -> "ScaledValue":
-        """Build from a natural log of the magnitude (approximate by nature)."""
-        if sign == 0:
-            return cls(0, 0.0, 0)
-        log2v = ln_abs / _LN2
-        expo = math.floor(log2v)
-        mant = 2.0 ** (log2v - expo)
-        if mant >= 2.0:  # rounding at the bin edge
-            mant /= 2.0
-            expo += 1
-        return cls(1 if sign > 0 else -1, mant, expo)
-
-    def to_float(self) -> float:
-        """Unpack to a float; raises OverflowError outside the double range."""
-        if self.sign == 0:
-            return 0.0
-        return self.sign * math.ldexp(self.mantissa, self.exponent)
-
-    def ln(self) -> float:
-        """Natural log of the magnitude."""
-        if self.sign == 0:
-            raise ValueError("log of zero")
-        return math.log(self.mantissa) + self.exponent * _LN2
 
 
 def generalized_binomial(x: Union[int, Fraction, float], m: int) -> Fraction:
@@ -111,7 +43,7 @@ def generalized_binomial(x: Union[int, Fraction, float], m: int) -> Fraction:
     return num / math.factorial(m)
 
 
-def legendre_scaled(k: int, x: float) -> ScaledValue:
+def legendre_scaled(k: int, x: float) -> Tuple[float, int]:
     r"""Legendre polynomial :math:`P_k(x)` for :math:`x \ge 1`, scaled.
 
     Uses the three-term recurrence
@@ -133,17 +65,19 @@ def legendre_scaled(k: int, x: float) -> ScaledValue:
 
     Returns
     -------
-    ScaledValue
-        ``P_k(x) > 0`` in scaled form.
+    (mantissa, exponent)
+        ``P_k(x) = ldexp(mantissa, exponent) > 0`` with ``mantissa`` in
+        ``[1, 2)`` and ``exponent`` an unbounded integer.
     """
     if k < 0:
         raise ValueError(f"degree must be >= 0, got {k}")
     if x < 1.0:
         raise ValueError(f"legendre_scaled requires x >= 1, got {x}")
     if k == 0:
-        return ScaledValue.from_float(1.0)
+        return 1.0, 0
     if k == 1:
-        return ScaledValue.from_float(x)
+        m, e = math.frexp(x)  # m in [0.5, 1)
+        return 2.0 * m, e - 1
     p_prev = 1.0  # P_0
     p_cur = x  # P_1
     expo = 0
@@ -154,7 +88,7 @@ def legendre_scaled(k: int, x: float) -> ScaledValue:
         p_prev = math.ldexp(p_cur, -shift)
         p_cur = math.ldexp(p_next, -shift)
         expo += shift
-    return ScaledValue(1, p_cur, expo)
+    return p_cur, expo
 
 
 def bessel_i0_scaled(x: float) -> float:

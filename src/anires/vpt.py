@@ -114,13 +114,8 @@ def w_laurent(
     k: int,
     g_over_4: Exactish,
     delta: Exactish,
-    omega: Exactish = 1,
 ) -> LaurentInOmega:
-    """W_k(Omega) as an exact Laurent polynomial, reduced units omega=1.
-
-    The general-omega path exists for the scale-consistency check
-    W_k^(omega)(Omega; gbar) = omega * W_k^(1)(Omega/omega; gbar/omega^3).
-    """
+    """W_k(Omega) as an exact Laurent polynomial, reduced units omega=1."""
     if k < 0:
         raise ValueError("k must be >= 0")
     if k > table.kmax:
@@ -128,7 +123,6 @@ def w_laurent(
     gbar = Fraction(g_over_4)
     if gbar <= 0:
         raise ValueError("requires g/4 > 0")
-    om2 = Fraction(omega) ** 2
     slices = _energy_slices(table, k, delta)
     terms: Dict[int, Fraction] = {}
     for l in range(k + 1):
@@ -138,9 +132,9 @@ def w_laurent(
             if eps[t] == 0:
                 continue
             base = eps[t] * gbar**j
-            # (omega^2 - Omega^2)^t expanded; power of Omega: 1 + t - 3l + 2s
+            # (1 - Omega^2)^t expanded; power of Omega: 1 + t - 3l + 2s
             for s in range(t + 1):
-                coeff = base * math.comb(t, s) * (-1) ** s * om2 ** (t - s)
+                coeff = base * math.comb(t, s) * (-1) ** s
                 power = 1 + t - 3 * l + 2 * s
                 terms[power] = terms.get(power, Fraction(0)) + coeff
     return LaurentInOmega({p: c for p, c in terms.items() if c != 0})
@@ -287,8 +281,7 @@ def vpt_energy(
     k: int,
     g_over_4: Exactish,
     delta: Exactish,
-    omega: Exactish = 1,
     selection: str = "min_w",
 ) -> VptOrderResult:
     """Variational energy W_k at the optimized Omega_k."""
-    return optimize_omega(w_laurent(table, k, g_over_4, delta, omega), k, selection=selection)
+    return optimize_omega(w_laurent(table, k, g_over_4, delta), k, selection=selection)

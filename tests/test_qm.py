@@ -7,10 +7,10 @@ from anires import (
     CoefficientTable,
     QuadratureSpec,
     integrate_unit,
+    large_order_estimate,
     qm_approximant,
     qm_gamma_n,
     qm_imaginary_terms,
-    qm_large_order_estimate,
     qm_large_order_params,
     reexpansion_check,
     vpt_energy,
@@ -18,6 +18,10 @@ from anires import (
 from anires.qm import beta_symmetric_half
 
 TIGHT = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-12, max_refinements=12)
+
+
+def qm_estimate(k, n):
+    return large_order_estimate(qm_large_order_params(), qm_gamma_n(n), k, n)
 
 
 class TestBetaIdentity:
@@ -91,18 +95,18 @@ class TestLargeOrderEstimate:
 
     def test_estimate_tracks_exact_magnitude(self, qm_table):
         # the scaled estimate should be within ~40% at k = 12 (O(1/k) regime)
-        est = qm_large_order_estimate(12, 0)
+        est = qm_estimate(12, 0)
         exact = qm_table.entry(12, 0)
         ratio = math.exp(
-            math.log(abs(exact.numerator)) - math.log(exact.denominator) - est.ln()
+            math.log(abs(exact.numerator)) - math.log(exact.denominator) - est.ln
         )
         assert 0.6 < ratio < 1.1
         assert est.sign == (1 if exact > 0 else -1)
 
     def test_sign_pattern(self):
-        assert qm_large_order_estimate(11, 0).sign == 1
-        assert qm_large_order_estimate(12, 0).sign == -1
-        assert qm_large_order_estimate(12, 1).sign == 1
+        assert qm_estimate(11, 0).sign == 1
+        assert qm_estimate(12, 0).sign == -1
+        assert qm_estimate(12, 1).sign == 1
 
 
 class TestResummation:
@@ -161,6 +165,11 @@ class TestResummation:
             qm_approximant(qm_table, 15)
         with pytest.raises(ValueError):
             qm_approximant(qm_table, 6).resum(-0.1, 0.0)
+
+    def test_negative_order_raises(self, qm_table):
+        # an empty triangle would otherwise resum to 0.0 without complaint
+        with pytest.raises(ValueError, match="N must be >= 0"):
+            qm_approximant(qm_table, -1)
 
 
 def test_qm_params_structure():

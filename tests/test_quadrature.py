@@ -69,7 +69,7 @@ def test_tolerance_looser_wins():
 
 
 def test_nonconvergence_raises_with_best_estimate():
-    spec = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-13, max_refinements=1)
+    spec = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-13, max_refinements=2)
     with pytest.raises(QuadratureError) as err:
         integrate_unit(lambda w: math.sin(50.0 / (w + 0.01)), spec)
     assert math.isfinite(err.value.best)
@@ -81,6 +81,9 @@ def test_spec_validation():
         QuadratureSpec(abs_tol=0.0)
     with pytest.raises(ValueError):
         QuadratureSpec(max_refinements=0)
+    with pytest.raises(ValueError):  # no level below the second is ever accepted
+        QuadratureSpec(max_refinements=1)
+    assert QuadratureSpec(max_refinements=2).max_refinements == 2
 
 
 def test_peaked_integrand_far_from_center():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from anires import (
     CoefficientTable,
     LargeOrderParams,
-    ScaledValue,
+    SignedLog,
     local_exponent,
     truncated_double_sum,
     z_coeff,
@@ -110,7 +110,7 @@ class TestLocalExponent:
         beta, sigma = -0.8, 3.0
         ks = [1000, 2000, 4000]
         col = [
-            ScaledValue.from_log(
+            SignedLog(
                 (-1) ** k,
                 k * math.log(sigma) + math.lgamma(k + 1) + beta * math.log(k),
             )

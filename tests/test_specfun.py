@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anires import (
-    ScaledValue,
     bessel_i0_scaled,
     generalized_binomial,
     legendre_scaled,
@@ -44,64 +43,38 @@ class TestGeneralizedBinomial:
         assert generalized_binomial(0.5, 2) == pytest.approx(-0.125)
 
 
-class TestScaledValue:
-    def test_pack_unpack_roundtrip_exact(self):
-        for v in (1.0, -3.75, 1e-300, 2.0**100, -math.pi):
-            assert ScaledValue.from_float(v).to_float() == v
-
-    @given(st.floats(allow_nan=False, allow_infinity=False,
-                     min_value=-1e300, max_value=1e300).filter(lambda v: v != 0.0))
-    def test_roundtrip_property(self, v):
-        assert ScaledValue.from_float(v).to_float() == v
-
-    def test_unpack_pack_roundtrip(self):
-        # pack(unpack(v)) == v for representable scaled values
-        v = ScaledValue(1, 1.5, -100)
-        assert ScaledValue.from_float(v.to_float()) == v
-
-    def test_zero(self):
-        z = ScaledValue.from_float(0.0)
-        assert z.sign == 0 and z.to_float() == 0.0
-
-    def test_huge_exponent(self):
-        big = ScaledValue(1, 1.0, 10**7)
-        assert big.ln() == pytest.approx(10**7 * math.log(2.0))
-
-    def test_from_log(self):
-        v = ScaledValue.from_log(-1, 1000.0)
-        assert v.sign == -1
-        assert v.ln() == pytest.approx(1000.0, abs=1e-9)
-
-    def test_invalid_mantissa(self):
-        with pytest.raises(ValueError):
-            ScaledValue(1, 2.5, 0)
-
-
 class TestLegendreScaled:
     def test_at_one_any_degree(self):
         for k in (0, 1, 7, 100, 12345):
-            assert legendre_scaled(k, 1.0).to_float() == pytest.approx(1.0, rel=1e-12)
+            assert math.ldexp(*legendre_scaled(k, 1.0)) == pytest.approx(1.0, rel=1e-12)
 
     def test_degree_two_closed_form(self):
         # (3x^2 - 1)/2 at x = 1.5
-        assert legendre_scaled(2, 1.5).to_float() == pytest.approx(2.875, rel=1e-14)
+        assert math.ldexp(*legendre_scaled(2, 1.5)) == pytest.approx(2.875, rel=1e-14)
 
     def test_degree_one_model_argument(self):
         # x = (4-d)/(2 sqrt(4-2d)) at d=1 is 3/(2 sqrt 2); P_1(x) = x
         x = 3.0 / (2.0 * math.sqrt(2.0))
-        assert legendre_scaled(1, x).to_float() == pytest.approx(x, rel=1e-15)
+        assert math.ldexp(*legendre_scaled(1, x)) == pytest.approx(x, rel=1e-15)
 
     def test_domain_error(self):
         with pytest.raises(ValueError):
             legendre_scaled(3, 0.999)
 
+    def test_mantissa_normalized(self):
+        for k in (0, 1, 2, 50):
+            for x in (1.0, 1.5, 7.25):
+                mantissa, exponent = legendre_scaled(k, x)
+                assert 1.0 <= mantissa < 2.0 and isinstance(exponent, int), (k, x)
+
     @pytest.mark.parametrize("k,x", [(1000, 1.0001), (10**5, 1.001)])
     def test_large_degree_against_mpmath(self, k, x):
         mpmath.mp.dps = 30
         ref = mpmath.legendre(k, mpmath.mpf(x))
-        got = legendre_scaled(k, x)
-        assert got.sign == 1
-        rel = abs(math.exp(got.ln() - float(mpmath.log(ref))) - 1.0)
+        mantissa, exponent = legendre_scaled(k, x)
+        assert 1.0 <= mantissa < 2.0
+        ln_got = math.log(mantissa) + exponent * math.log(2.0)
+        rel = abs(math.exp(ln_got - float(mpmath.log(ref))) - 1.0)
         assert rel <= 1e-11
 
     @staticmethod
@@ -109,11 +82,9 @@ class TestLegendreScaled:
         # |(k+1) P_{k+1} - (2k+1) x P_k + k P_{k-1}| / |P_{k+1}|, evaluated on
         # the scale of P_{k+1} (ldexp is exact, no log noise); each sweep
         # repeats the steps of the shorter ones, so the rounding history is shared
-        pm, pc, pn = (legendre_scaled(j, x) for j in (k - 1, k, k + 1))
-        e0 = pn.exponent
-        vm = math.ldexp(pm.mantissa, pm.exponent - e0)
-        vc = math.ldexp(pc.mantissa, pc.exponent - e0)
-        vn = pn.mantissa
+        (mm, em), (mc, ec), (vn, e0) = (legendre_scaled(j, x) for j in (k - 1, k, k + 1))
+        vm = math.ldexp(mm, em - e0)
+        vc = math.ldexp(mc, ec - e0)
         return abs((k + 1) * vn - (2 * k + 1) * x * vc + k * vm) / vn
 
     @given(st.floats(min_value=1.0, max_value=2.0), st.integers(2, 2000))

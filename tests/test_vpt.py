@@ -254,12 +254,3 @@ class TestAgainstReferenceTable:
             printed = float(TABLE2[gbar_s][k][delta_s])
             tol = printed_tolerance(TABLE2[gbar_s][k][delta_s])
             assert any(abs(c.w_value - printed) <= tol for c in res.candidates)
-
-
-class TestScaleConsistency:
-    def test_general_omega_rescaling(self, qm_table):
-        # W from omega = 2 equals 2x the omega = 1 run at gbar/8
-        res2 = vpt_energy(qm_table, 5, Fraction(2, 10), Fraction(1, 2), omega=2)
-        res1 = vpt_energy(qm_table, 5, Fraction(2, 80), Fraction(1, 2), omega=1)
-        assert res2.energy == pytest.approx(2.0 * res1.energy, rel=1e-10)
-        assert res2.omega == pytest.approx(2.0 * res1.omega, rel=1e-8)
