@@ -51,11 +51,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, islice, repeat
 from operator import mul
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Sequence, Tuple, Union
 
 from .quadrature import DEFAULT_SPEC, QuadratureSpec, integrate_unit, integrate_semiline
 from .series import CoefficientTable, LargeOrderParams
-from .specfun import generalized_binomial
 
 __all__ = [
     "BorelBasisSpec",
@@ -115,27 +114,47 @@ def borel_coefficients(
     k = n vanish identically for triangular double series.  Exact rational
     throughout (requires rational sigma and alpha, which both applications
     satisfy).
+
+    Each term of the sum is carried by its ratio to the previous one: the
+    weight c_k (4/sigma)^k / (b0+1)_k along k, and the binomial along p by
+    C(x+1, m+1) = C(x, m) (x+1)/(m+1).
     """
     N = n + len(column) - 1
     b0 = n + params.b0_offset
-    sigma = Fraction(params.sigma)
-    alpha = Fraction(params.alpha)
-    four_over_sigma = 4 / sigma
-    out: List[Fraction] = []
-    for p in range(n, N + 1):
-        total = Fraction(0)
-        for k in range(n, p + 1):
-            c_k = Fraction(column[k - n])
-            if c_k == 0:
-                continue
-            total += (
-                c_k
-                / pochhammer(b0 + 1, k)
-                * four_over_sigma**k
-                * generalized_binomial(p + k - 1 - 2 * alpha, p - k)
-            )
-        out.append(total)
+    four_over_sigma = 4 / Fraction(params.sigma)
+    two_alpha = 2 * Fraction(params.alpha)
+    out = [Fraction(0)] * len(column)
+    scale = four_over_sigma**n / pochhammer(b0 + 1, n)  # (4/sigma)^k / (b0+1)_k
+    for k in range(n, N + 1):
+        if k > n:
+            scale *= four_over_sigma / (b0 + k)
+        c_k = Fraction(column[k - n])
+        if c_k == 0:
+            continue
+        term = c_k * scale  # times C(p+k-1-2 alpha, p-k) = 1 at p = k
+        out[k - n] += term
+        x0 = k - 1 - two_alpha
+        for p in range(k + 1, N + 1):
+            term *= (x0 + p) / (p - k)
+            out[p - n] += term
     return out
+
+
+def _basis_series(spec: BorelBasisSpec, kmax: int, scale: Rational = 1) -> Iterator[Fraction]:
+    """``scale`` times I^p_k for k = p .. kmax, each term from the previous one
+    by the ratio of the closed form in :func:`basis_series_coefficient`,
+
+        I^p_k / I^p_{k-1} = (-sigma)(b0+k)(a+m-1)(a+m-1/2) / ((2a+m) m).
+    """
+    p, b0, sigma = spec.p, spec.b0, Fraction(spec.sigma)
+    a = p - Fraction(spec.alpha)
+    term = scale * (sigma / 4) ** p * pochhammer(b0 + 1, p)
+    yield term
+    # the ratio's factors at m = 0, each advanced by m
+    b0_k, a_1, a_half, two_a = b0 + p, a - 1, a - Fraction(1, 2), 2 * a
+    for m in range(1, kmax - p + 1):
+        term *= -sigma * (b0_k + m) * (a_1 + m) * (a_half + m) / ((two_a + m) * m)
+        yield term
 
 
 def basis_series_coefficient(spec: BorelBasisSpec, k: int) -> Fraction:
@@ -148,17 +167,7 @@ def basis_series_coefficient(spec: BorelBasisSpec, k: int) -> Fraction:
     """
     if k < spec.p:
         return Fraction(0)
-    m = k - spec.p
-    a = spec.p - Fraction(spec.alpha)
-    sigma = Fraction(spec.sigma)
-    value = (
-        (sigma / 4) ** spec.p
-        * (-sigma) ** m
-        * pochhammer(spec.b0 + 1, k)
-        * pochhammer(a, m)
-        * pochhammer(a + Fraction(1, 2), m)
-        / (pochhammer(2 * a + 1, m) * math.factorial(m))
-    )
+    *_, value = _basis_series(spec, k)
     return value
 
 
@@ -214,7 +223,7 @@ def basis_integrals(
     tolerance.  For sigma*g below SMALL_SIGMA_G each value is its truncated
     power series instead.
     """
-    if g <= 0:
+    if not g > 0:
         raise ValueError(f"requires g > 0, got {g}")
     if not columns:
         return []
@@ -271,7 +280,7 @@ def basis_integral_tform(
     spec: BorelBasisSpec, g: float, quad: QuadratureSpec = DEFAULT_SPEC
 ) -> float:
     """I_p(g) via the original Borel t-integral; cross-check for the w-form."""
-    if g <= 0:
+    if not g > 0:
         raise ValueError(f"requires g > 0, got {g}")
     b0 = float(spec.b0)
     alpha = float(spec.alpha)
@@ -350,7 +359,7 @@ class ResummedApproximant:
         return basis_integral(self.basis_spec(p, n), g, quad)
 
     def resum(self, g: float, y: float, quad: QuadratureSpec = DEFAULT_SPEC) -> float:
-        if g <= 0:
+        if not g > 0:
             raise ValueError(f"requires g > 0, got {g}")
         total = 0.0
         for (n, _, coeffs), values in zip(self._columns, self.basis_values(g, quad)):
@@ -383,18 +392,19 @@ def reexpansion_check(approx: ResummedApproximant) -> Union[Fraction, float]:
     Exact rational arithmetic; the construction makes this identically zero,
     so any nonzero return is a hard failure of the coefficient algebra.
     """
+    N = approx.N
     worst: Fraction = Fraction(0)
-    for n in range(approx.N + 1):
-        specs = {p: approx.basis_spec(p, n) for p in range(n, approx.N + 1)}
-        for k in range(n, approx.N + 1):
-            recovered = Fraction(0)
-            for p in range(n, k + 1):
-                coeff = approx.a[(p, n)]
-                if coeff == 0:
-                    continue
-                recovered += basis_series_coefficient(specs[p], k) * coeff
+    for n in range(N + 1):
+        recovered = [Fraction(0)] * (N + 1 - n)  # at k = n .. N
+        for p in range(n, N + 1):
+            coeff = approx.a[(p, n)]
+            if coeff == 0:
+                continue
+            for k, term in enumerate(_basis_series(approx.basis_spec(p, n), N, coeff), p):
+                recovered[k - n] += term
+        for k, value in enumerate(recovered, n):
             target = approx.input_table.entry(k, n)
-            residual = recovered - target
+            residual = value - target
             if residual == 0:
                 continue
             rel = abs(residual) / max(Fraction(1), abs(target))

@@ -108,7 +108,7 @@ def z_coeff_delta_scaled(k: int, delta: float) -> SignedLog:
     """
     if k < 0:
         raise ValueError(f"negative order {k}")
-    if delta >= 2.0:
+    if not delta < 2.0:
         raise ValueError(f"requires delta < 2, got {delta}")
     if k == 0:
         return SignedLog(1, 0.0)
@@ -133,9 +133,9 @@ def z_reference(g: float, delta: float, spec: QuadratureSpec = DEFAULT_SPEC) -> 
     exponents combined analytically, so the integrand never overflows:
     for any sign of d the combined exponent stays negative for d < 2.
     """
-    if g <= 0:
+    if not g > 0:
         raise ValueError(f"requires g > 0, got {g}")
-    if delta >= 2.0:
+    if not delta < 2.0:
         raise ValueError(f"requires delta < 2, got {delta}")
     quarter = 0.25 * delta * g
     # combined quadratic coefficient after absorbing the Bessel scaling:

@@ -64,7 +64,7 @@ class QuadratureSpec:
     max_refinements: int = 10
 
     def __post_init__(self) -> None:
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
+        if not (self.abs_tol > 0 and self.rel_tol > 0):
             raise ValueError("tolerances must be positive")
         if self.max_refinements < _MIN_LEVEL:
             raise ValueError(f"max_refinements must be >= {_MIN_LEVEL}")

@@ -71,7 +71,7 @@ def legendre_scaled(k: int, x: float) -> Tuple[float, int]:
     """
     if k < 0:
         raise ValueError(f"degree must be >= 0, got {k}")
-    if x < 1.0:
+    if not x >= 1.0:
         raise ValueError(f"legendre_scaled requires x >= 1, got {x}")
     if k == 0:
         return 1.0, 0
@@ -105,7 +105,7 @@ def bessel_i0_scaled(x: float) -> float:
     is truncated at its smallest term, which at x = 30 is already below
     1e-13 relative.  Valid for all ``x >= 0``; the result never overflows.
     """
-    if x < 0:
+    if not x >= 0:
         raise ValueError(f"bessel_i0_scaled requires x >= 0, got {x}")
     if x <= _BESSEL_SWITCH:
         q = 0.25 * x * x

@@ -13,15 +13,20 @@ from anires import (
     basis_integral_tform,
     basis_integrals,
     basis_series_coefficient,
+    benderwu_build,
     borel_coefficients,
     build_approximant,
     model_large_order_params,
     qm_approximant,
+    qm_large_order_params,
     reexpansion_check,
     z_coeff,
     z_reference,
 )
-from anires.borel import pochhammer
+from anires.borel import ResummedApproximant, pochhammer
+from anires.model import MODEL_ALPHA
+from anires.qm import QM_ALPHA
+from anires.specfun import generalized_binomial
 
 TIGHT = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-12, max_refinements=12)
 
@@ -40,6 +45,33 @@ class TestPochhammer:
     def test_basic(self):
         assert pochhammer(Fraction(3, 2), 3) == Fraction(3 * 5 * 7, 8)
         assert pochhammer(2, 0) == 1
+
+
+def direct_borel_coefficients(column, params, n):
+    # the defining double sum, every factor formed from scratch:
+    # a_pn = sum_{k<=p} c_k / (b0+1)_k (4/sigma)^k C(p+k-1-2 alpha, p-k)
+    N = n + len(column) - 1
+    b0 = n + params.b0_offset
+    alpha = Fraction(params.alpha)
+    four_over_sigma = 4 / Fraction(params.sigma)
+    return [
+        sum((Fraction(column[k - n]) / pochhammer(b0 + 1, k) * four_over_sigma**k
+             * generalized_binomial(p + k - 1 - 2 * alpha, p - k)
+             for k in range(n, p + 1)), Fraction(0))
+        for p in range(n, N + 1)
+    ]
+
+
+@pytest.mark.parametrize("case", ["qm-sigma3", "qm-sigma4", "model"])
+def test_triangle_equals_direct_sum(case):
+    N = 15
+    if case == "model":
+        table, params = ModelCoefficients.build(N).table, model_large_order_params()
+    else:
+        table, params = benderwu_build(N).energy, qm_large_order_params(int(case[-1]))
+    for n in range(N + 1):
+        column = table.column(n, N)
+        assert borel_coefficients(column, params, n) == direct_borel_coefficients(column, params, n)
 
 
 class TestBorelCoefficients:
@@ -68,6 +100,21 @@ class TestBorelCoefficients:
 
 
 class TestBasisSeriesCoefficient:
+    @pytest.mark.parametrize("alpha,b0,sigma", [
+        (QM_ALPHA, Fraction(7, 2), Fraction(3)),
+        (MODEL_ALPHA, Fraction(3), Fraction(4)),
+    ])
+    @pytest.mark.parametrize("p", [0, 3, 7])
+    def test_closed_form(self, alpha, b0, sigma, p):
+        # I^p_k = (sigma/4)^p (-sigma)^m (b0+1)_k (a)_m (a+1/2)_m / ((2a+1)_m m!)
+        spec = BorelBasisSpec(p=p, b0=b0, alpha=alpha, sigma=sigma)
+        a = p - alpha
+        for k in range(p, 21):
+            m = k - p
+            want = ((sigma / 4) ** p * (-sigma) ** m * pochhammer(b0 + 1, k) * pochhammer(a, m)
+                    * pochhammer(a + Fraction(1, 2), m) / (pochhammer(2 * a + 1, m) * math.factorial(m)))
+            assert basis_series_coefficient(spec, k) == want, k
+
     def test_isotropic_channel_matches_exact_coefficients(self):
         # with a_00 = 1 the n=0 basis alone carries the whole isotropic
         # series: I^0_k = Z_k0 exactly
@@ -138,13 +185,26 @@ class TestBasisIntegral:
         assert abs(v4 / v3 - 1.0) < 0.02
 
     def test_invalid_g(self):
-        with pytest.raises(ValueError):
-            basis_integral(model_spec(0, 0), -1.0)
+        for g in (-1.0, 0.0, float("nan")):
+            with pytest.raises(ValueError, match="g > 0"):
+                basis_integral(model_spec(0, 0), g)
+            with pytest.raises(ValueError, match="g > 0"):
+                basis_integral_tform(model_spec(0, 0), g)
 
 
 class TestApproximant:
     def test_reexpansion_exact_zero(self, model_approx_12):
         assert reexpansion_check(model_approx_12) == 0
+
+    @pytest.mark.parametrize("key", [(6, 6), (9, 4)])
+    def test_reexpansion_detects_perturbed_coefficient(self, qm_table, key):
+        # one diagonal and one off-diagonal a_pn, each moved by 1e-40
+        approx = qm_approximant(qm_table, 12)
+        assert reexpansion_check(approx) == 0
+        a = dict(approx.a)
+        a[key] += Fraction(1, 10**40)
+        bent = ResummedApproximant(N=12, a=a, params=approx.params, input_table=qm_table)
+        assert reexpansion_check(bent) > 0
 
     def test_resum_g_to_zero(self, model_approx_12):
         assert model_approx_12.resum(1e-9, 0.7, TIGHT) == pytest.approx(1.0, abs=1e-7)

@@ -140,6 +140,10 @@ class TestZCoeffDelta:
         with pytest.raises(ValueError):
             z_coeff_delta_scaled(-1, 0.5)
 
+    def test_scaled_rejects_nan(self):
+        with pytest.raises(ValueError, match="delta < 2"):
+            z_coeff_delta_scaled(5, float("nan"))
+
     @pytest.mark.parametrize("delta", [Fraction(-1), Fraction(-1, 2), Fraction(1, 2), Fraction(1)])
     def test_exact_polynomial_identity_even_k(self, delta):
         # for even k, P_k has only even powers, so the closed form
@@ -224,6 +228,12 @@ class TestZReference:
             z_reference(-1.0, 0.0)
         with pytest.raises(ValueError):
             z_reference(1.0, 2.0)
+
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="g > 0"):
+            z_reference(float("nan"), 0.0)
+        with pytest.raises(ValueError, match="delta < 2"):
+            z_reference(1.0, float("nan"))
 
 
 class TestStrongCoupling:

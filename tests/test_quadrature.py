@@ -86,6 +86,13 @@ def test_spec_validation():
     assert QuadratureSpec(max_refinements=2).max_refinements == 2
 
 
+@pytest.mark.parametrize("tols", [(math.nan, math.nan), (math.nan, 1e-10), (1e-12, math.nan)])
+def test_spec_rejects_nan_tolerances(tols):
+    # a NaN tolerance can never be met, so every integral would run out its budget
+    with pytest.raises(ValueError, match="tolerances must be positive"):
+        QuadratureSpec(abs_tol=tols[0], rel_tol=tols[1])
+
+
 def test_peaked_integrand_far_from_center():
     # mass concentrated near w ~ 1e-3; the sweep must not truncate early
     def f(w):

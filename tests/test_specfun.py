@@ -61,6 +61,10 @@ class TestLegendreScaled:
         with pytest.raises(ValueError):
             legendre_scaled(3, 0.999)
 
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="x >= 1"):
+            legendre_scaled(5, float("nan"))
+
     def test_mantissa_normalized(self):
         for k in (0, 1, 2, 50):
             for x in (1.0, 1.5, 7.25):
@@ -137,3 +141,7 @@ class TestBesselI0Scaled:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             bessel_i0_scaled(-1.0)
+
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="x >= 0"):
+            bessel_i0_scaled(float("nan"))

@@ -43,3 +43,9 @@ def test_runtime_imports_only_stdlib():
                 continue
             foreign += [(path.name, r) for r in roots if r not in sys.stdlib_module_names]
     assert foreign == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_parses_as_python_3_10(path):
+    # pyproject.toml declares requires-python >= 3.10
+    ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
