@@ -4,11 +4,11 @@ Subpackage map:
 
 * :mod:`anires.specfun`    scalar special functions, scaled Legendre and Bessel
 * :mod:`anires.quadrature` double-exponential integrators on (0,1), (0,inf)
-* :mod:`anires.series`     exact coefficient tables, large-order law, crossover
+* :mod:`anires.series`     exact coefficient tables, large-order input, crossover
 * :mod:`anires.model`      the 2-D quartic model integral, exact and numeric
 * :mod:`anires.borel`      hypergeometric-Borel resummation engine
 * :mod:`anires.benderwu`   exact oscillator perturbation coefficients
-* :mod:`anires.qm`         oscillator large-order data and resummed energy
+* :mod:`anires.qm`         oscillator large-order input and resummed energy
 * :mod:`anires.vpt`        variational perturbation theory
 * :mod:`anires.cli`        command-line interface (`anires ...`)
 """
@@ -27,21 +27,12 @@ from .series import (
     CrossoverReport,
     LargeOrderParams,
     SignedLog,
-    large_order_estimate,
     local_exponent,
-    truncated_double_sum,
 )
 from .model import (
     ModelCoefficients,
-    ImaginaryPartTerm,
-    gamma_n,
-    imaginary_part,
-    imaginary_part_terms,
-    large_order_estimate_delta,
     model_large_order_params,
-    strong_coupling_kappa,
     z_coeff,
-    z_coeff_delta,
     z_coeff_delta_scaled,
     z_reference,
 )
@@ -60,9 +51,6 @@ from .borel import (
 from .benderwu import BwState, build as benderwu_build
 from .qm import (
     qm_approximant,
-    qm_gamma_n,
-    qm_imaginary_part,
-    qm_imaginary_terms,
     qm_large_order_params,
 )
 from .vpt import (

@@ -9,10 +9,11 @@ switches the flag value to raw g, in every command that takes --g4.
 Exit status is 0 only if every requested grid point evaluated successfully;
 failures are listed on stderr and flip the status to 1.  A reader that closes
 stdout early (`anires ... | head`) also gives status 1, without a traceback.
-A malformed flag value (including a --g4 that is not positive), a missing
-required flag (--g4, and one of --delta and --delta-range, where a command
-takes them) and conflicting flags (--delta together with --delta-range) are
-usage errors (status 2) before any work starts.
+A malformed flag value (including a --g4 that is not positive, and a
+model-crossover --delta of 2 or more), a missing required flag (--g4, and one
+of --delta and --delta-range, where a command takes them), conflicting flags
+(--delta together with --delta-range) and a figures flag that the chosen
+figure does not read are usage errors (status 2) before any work starts.
 
 Environment: ANIRES_QUAD_TOL overrides the default quadrature tolerance, as
 --tol does; a malformed value is a usage error too.
@@ -53,6 +54,7 @@ def _arg(convert: Callable, expected: str, check: Callable = lambda value: True)
 
 
 _fraction = _arg(Fraction, "an exact decimal or fraction")
+_model_delta = _arg(Fraction, "an exact decimal or fraction < 2", lambda v: v < 2)
 _positive_fraction = _arg(Fraction, "an exact decimal or fraction > 0", lambda v: v > 0)
 _tolerance = _arg(float, "a number > 0", lambda v: v > 0)
 _count = _arg(int, "an integer >= 0", lambda v: v >= 0)
@@ -324,6 +326,14 @@ def cmd_figures(args) -> int:
     return 0
 
 
+# the flags of `figures` that a figure does not read
+_FIGURE_UNUSED = {
+    **dict.fromkeys(("fig1", "fig2a", "fig2b"), ("g4", "raw_g", "sigma", "tol")),
+    "fig4": ("sigma",),
+    "fig7": ("sigma", "tol"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="anires",
@@ -373,8 +383,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("model-crossover", help="large-order crossover scan")
     common(p, tol=False)
     p.add_argument("--kmax", type=_crossover_kmax, default=4096)
-    p.add_argument("--delta", type=_fraction, required=True,
-                   help="anisotropy (exact decimal or fraction)")
+    p.add_argument("--delta", type=_model_delta, required=True,
+                   help="anisotropy < 2 (exact decimal or fraction)")
     p.set_defaults(fn=cmd_model_crossover)
 
     p = sub.add_parser("model-resum", help="resummed model vs reference")
@@ -419,6 +429,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "figures":
+        unused = [f"--{name.replace('_', '-')}" for name in _FIGURE_UNUSED.get(args.which, ())
+                  if getattr(args, name) not in (None, False)]
+        if unused:
+            parser.error(f"figures --which {args.which} does not use {', '.join(unused)}")
     env = os.environ.get("ANIRES_QUAD_TOL")
     if env is not None and "tol" in vars(args) and args.tol is None:
         try:

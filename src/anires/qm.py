@@ -25,22 +25,16 @@ exponent alpha = 1/3 (the energy grows like g^{1/3}).  The resummed energy is
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
-from typing import List, Union
+from typing import Union
 
 from .borel import ResummedApproximant, build_approximant
-from .model import ImaginaryPartTerm
 from .series import CoefficientTable, LargeOrderParams
 
 __all__ = [
     "QM_ALPHA",
     "QM_DEFAULT_SIGMA",
-    "beta_symmetric_half",
-    "qm_gamma_n",
     "qm_large_order_params",
-    "qm_imaginary_terms",
-    "qm_imaginary_part",
     "qm_approximant",
 ]
 
@@ -48,47 +42,9 @@ QM_ALPHA = Fraction(1, 3)
 QM_DEFAULT_SIGMA = Fraction(3)
 
 
-def beta_symmetric_half(n: int) -> float:
-    """B(n+1/2, n+1/2) = pi (2n)! / (16^n (n!)^2), exact up to the pi factor."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return math.pi * math.comb(2 * n, n) / 16.0**n
-
-
-def qm_gamma_n(n: int) -> float:
-    """The prefactor gamma_n of E_kn ~ gamma_n (-1)^k sigma^k k! k^n (module docstring);
-    ``series.large_order_estimate(qm_large_order_params(), qm_gamma_n(n), k, n)``
-    evaluates the law."""
-    return -((-1) ** n) * (6.0 / math.pi**2) * beta_symmetric_half(n) / math.factorial(n)
-
-
 def qm_large_order_params(sigma: Union[int, Fraction] = QM_DEFAULT_SIGMA) -> LargeOrderParams:
     """Resummation input of the E_kn table in the (g/4, 2 delta) variables."""
     return LargeOrderParams(sigma=Fraction(sigma), b0_offset=Fraction(3, 2), alpha=QM_ALPHA)
-
-
-def qm_imaginary_terms(n_max: int) -> List[ImaginaryPartTerm]:
-    """Terms of Im E = sum_n (-d)^n prefactor_n (4/(3|g|))^{n+1} e^{-4/(3|g|)}.
-
-    prefactor_n = (6/pi) (2^n/n!) B(n+1/2, n+1/2) = 6 C(2n, n) / (n! 8^n);
-    the exponential scale is sigma = 3/4 in raw g, i.e. 4/(3|g|) =
-    1/((3/4)|g|).
-    """
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    out = []
-    for n in range(n_max + 1):
-        pref = 6.0 * math.comb(2 * n, n) / (math.factorial(n) * 8.0**n)
-        out.append(ImaginaryPartTerm(n, pref, 0.75, float(n + 1)))
-    return out
-
-
-def qm_imaginary_part(g_abs: float, delta: float, n_max: int) -> float:
-    """Im E(-|g| + i0, d) truncated at d^{n_max} (leading order in g)."""
-    total = 0.0
-    for term in qm_imaginary_terms(n_max):
-        total += (-delta) ** term.n * term.magnitude(g_abs)
-    return total
 
 
 def qm_approximant(

@@ -18,9 +18,9 @@ through -3/4.  The midpoint definition is this package's own
 convention; the qualitative statement it implements is only that the switch
 happens near k ~ 1/|d|.
 
-:func:`large_order_estimate` evaluates the law itself from an application's
-:class:`LargeOrderParams` and prefactor gamma_n.  Magnitudes beyond the float
-range travel as a :class:`SignedLog`, a sign and a natural log.
+An application states what the resummation reads of that growth in a
+:class:`LargeOrderParams`.  Magnitudes beyond the float range travel as a
+:class:`SignedLog`, a sign and a natural log.
 """
 
 from __future__ import annotations
@@ -35,9 +35,7 @@ __all__ = [
     "LargeOrderParams",
     "SignedLog",
     "CrossoverReport",
-    "large_order_estimate",
     "local_exponent",
-    "truncated_double_sum",
     "log_abs_fraction",
 ]
 
@@ -141,34 +139,6 @@ def log_abs_fraction(value: Fraction) -> float:
     return math.log(abs(value.numerator)) - math.log(value.denominator)
 
 
-def large_order_estimate(
-    params: LargeOrderParams, gamma: float, k: int, n: int, form: str = "power"
-) -> SignedLog:
-    r"""Leading large-order estimate of c_kn, with beta(n) = n + b0_offset - 3/2.
-
-    form="power" (default):  c_kn ~ gamma (-sigma)^k k! k^{beta(n)}
-
-    form="gamma":            c_kn ~ gamma (-sigma)^k Gamma(k + beta(n) + 1)
-
-    ``gamma`` is the application's prefactor gamma_n.  The gamma form is what
-    the dispersion integral over the leading imaginary part produces; the two
-    forms differ by O(1/k).
-    """
-    if k < 1:
-        raise ValueError("requires k >= 1")
-    if n < 0:
-        raise ValueError("requires n >= 0")
-    beta = n + float(params.b0_offset) - 1.5
-    ln_common = math.log(abs(gamma)) + k * math.log(float(params.sigma))
-    if form == "power":
-        ln_abs = ln_common + math.lgamma(k + 1.0) + beta * math.log(k)
-    elif form == "gamma":
-        ln_abs = ln_common + math.lgamma(k + beta + 1.0)
-    else:
-        raise ValueError(f"unknown form {form!r}")
-    return SignedLog((1 if gamma > 0 else -1) * (-1) ** k, ln_abs)
-
-
 def _ln_abs(value: Coefficient) -> float:
     if isinstance(value, SignedLog):
         return value.ln
@@ -231,28 +201,3 @@ def local_exponent(
             k_cross = ks[i + 1]
             break
     return CrossoverReport(tuple(ks), tuple(fs), tuple(betas), k_cross)
-
-
-def truncated_double_sum(
-    table: CoefficientTable,
-    g: Union[Fraction, int, float],
-    delta: Union[Fraction, int, float],
-    K: int,
-) -> Union[Fraction, float]:
-    """Partial sum  sum_{k<=K} sum_{n<=k} c_{kn} g^k d^n, in exact arithmetic.
-
-    Float arguments are converted exactly; the sum is then returned as a
-    float, else as a Fraction.
-    """
-    if K > table.kmax:
-        raise ValueError(f"K={K} exceeds table kmax={table.kmax}")
-    gq, dq = Fraction(g), Fraction(delta)
-    total = Fraction(0)
-    for k in range(K + 1):
-        inner = Fraction(0)
-        for n in range(k + 1):
-            inner += table.entry(k, n) * dq**n
-        total += inner * gq**k
-    if isinstance(g, float) or isinstance(delta, float):
-        return float(total)
-    return total

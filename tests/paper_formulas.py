@@ -1,0 +1,136 @@
+"""The paper's closed forms that no command evaluates: the test oracle.
+
+Large-order laws, imaginary parts on the negative-coupling cut and the
+strong-coupling prefactor of the model integral and of the oscillator.  The
+runtime reads only ``LargeOrderParams`` (sigma, b0 offset, alpha); these
+formulas are what the tests check those constants and the exact tables
+against.  Conventions follow ``anires.model`` (Z = sum Z_kn g^k d^n) and
+``anires.qm`` (E = sum E_kn (g/4)^k (2d)^n).
+"""
+
+import math
+from fractions import Fraction
+
+from anires import SignedLog, z_coeff
+
+
+def large_order_estimate(params, gamma, k, n, gamma_form=False):
+    """Leading large-order estimate of c_kn, with beta(n) = n + b0_offset - 3/2:
+
+    c_kn ~ gamma (-sigma)^k k! k^{beta(n)}, or, with ``gamma_form``,
+    c_kn ~ gamma (-sigma)^k Gamma(k + beta(n) + 1), the form the dispersion
+    integral over the leading imaginary part produces (the two differ by O(1/k)).
+    """
+    if k < 1:
+        raise ValueError("requires k >= 1")
+    beta = n + float(params.b0_offset) - 1.5
+    ln_abs = math.log(abs(gamma)) + k * math.log(float(params.sigma))
+    if gamma_form:
+        ln_abs += math.lgamma(k + beta + 1.0)
+    else:
+        ln_abs += math.lgamma(k + 1.0) + beta * math.log(k)
+    return SignedLog((1 if gamma > 0 else -1) * (-1) ** k, ln_abs)
+
+
+def truncated_double_sum(table, g, delta, K):
+    """sum_{k<=K} sum_{n<=k} c_kn g^k d^n in exact arithmetic; a float if g or
+    d is a float (converted exactly first)."""
+    gq, dq = Fraction(g), Fraction(delta)
+    total = sum(sum(table.entry(k, n) * dq**n for n in range(k + 1)) * gq**k
+                for k in range(K + 1))
+    return float(total) if isinstance(g, float) or isinstance(delta, float) else total
+
+
+def _cut_sum(prefactor, u, offset, delta, n_max):
+    """sum_n (-d)^n prefactor(n) u^{n+offset} e^{-u}; 0 once e^{-u} underflows."""
+    if u > 700.0:
+        return 0.0
+    return math.exp(-u) * sum((-delta) ** n * prefactor(n) * u ** (n + offset)
+                              for n in range(n_max + 1))
+
+
+# ---------------------------------------------------------------- model integral
+
+
+def z_coeff_delta(k, delta):
+    """Exact Z_k(d) = sum_{n<=k} Z_kn d^n for rational d."""
+    return sum((z_coeff(k, n) * Fraction(delta) ** n for n in range(k + 1)), Fraction(0))
+
+
+def strong_coupling_kappa(delta, terms):
+    r"""Partial sum of kappa(d) = (sqrt(pi)/2) sum_n ((2n)!)^2 / ((n!)^4 2^{5n}) d^n,
+    the prefactor of Z -> kappa(d) g^{-1/2}, and a geometric estimate of the
+    remainder after ``terms`` terms.  The series converges for |d| < 2 only.
+    """
+    if not abs(delta) < 2.0:
+        raise ValueError(f"kappa series needs |delta| < 2, got {delta}")
+    # term ratio t_n / t_{n-1} = d (2n-1)^2 / (8 n^2), tending to d/2
+    term = total = math.sqrt(math.pi) / 2.0
+    ratio = delta / 2.0
+    for n in range(1, terms):
+        ratio = delta * (2 * n - 1) ** 2 / (8.0 * n * n)
+        term *= ratio
+        total += term
+    return total, abs(term * ratio) / (1.0 - abs(ratio))
+
+
+def model_im_prefactor(n):
+    """Gamma(n+1/2) / (2^n n!^2) = sqrt(pi) (2n)! / (8^n n!^3), the d^n prefactor of Im Z."""
+    return math.sqrt(math.pi) * math.factorial(2 * n) / (8**n * math.factorial(n) ** 3)
+
+
+def model_imaginary_part(g_abs, delta, n_max):
+    """Im Z(-|g| + i0, d) = -sum_n (-d)^n prefactor_n (1/(4|g|))^{n+1/2} e^{-1/(4|g|)},
+    truncated at d^{n_max} (leading order in g)."""
+    return -_cut_sum(model_im_prefactor, 1.0 / (4.0 * g_abs), 0.5, delta, n_max)
+
+
+def gamma_n(n):
+    """gamma_n = (-1)^n Gamma(n+1/2) / (pi 2^n n!^2) of Z_kn ~ gamma_n (-4)^k k! k^{n-1/2}."""
+    return (-1) ** n * math.exp(math.lgamma(n + 0.5) - n * math.log(2.0)
+                                - 2.0 * math.lgamma(n + 1.0)) / math.pi
+
+
+def large_order_estimate_delta(k, delta):
+    """Regime-resolved estimate of Z_k(d) at fixed d < 2.
+
+    d = 0: isotropic 4^k k! k^{-1/2} / sqrt(pi);
+    d > 0: sqrt(2/d) 4^k k! k^{-1} / pi;
+    d < 0: sqrt((2-d)/(-d)) (4-2d)^k k! k^{-1} / pi.
+    """
+    if k < 1:
+        raise ValueError("requires k >= 1")
+    if not delta < 2.0:
+        raise ValueError(f"requires delta < 2, got {delta}")
+    ln_abs = math.lgamma(k + 1.0)
+    if delta == 0.0:
+        ln_abs += k * math.log(4.0) - 0.5 * math.log(math.pi * k)
+    else:
+        d_neg = min(delta, 0.0)
+        ln_abs += (0.5 * math.log((2.0 - d_neg) / abs(delta)) - math.log(math.pi * k)
+                   + k * math.log(4.0 - 2.0 * d_neg))
+    return SignedLog(-1 if k % 2 else 1, ln_abs)
+
+
+# ---------------------------------------------------------------- oscillator
+
+
+def beta_symmetric_half(n):
+    """B(n+1/2, n+1/2) = pi (2n)! / (16^n (n!)^2)."""
+    return math.pi * math.comb(2 * n, n) / 16.0**n
+
+
+def qm_gamma_n(n):
+    """gamma_n = -(6/pi^2) ((-1)^n / n!) B(n+1/2, n+1/2) of E_kn ~ gamma_n (-3)^k k! k^n."""
+    return -((-1) ** n) * (6.0 / math.pi**2) * beta_symmetric_half(n) / math.factorial(n)
+
+
+def qm_im_prefactor(n):
+    """(6/pi) (2^n/n!) B(n+1/2, n+1/2) = 6 C(2n, n) / (n! 8^n), the d^n prefactor of Im E."""
+    return 6.0 * math.comb(2 * n, n) / (math.factorial(n) * 8.0**n)
+
+
+def qm_imaginary_part(g_abs, delta, n_max):
+    """Im E(-|g| + i0, d) = sum_n (-d)^n prefactor_n (4/(3|g|))^{n+1} e^{-4/(3|g|)},
+    truncated at d^{n_max} (leading order in g); 4/(3|g|) = 1/(3 |g/4|)."""
+    return _cut_sum(qm_im_prefactor, 4.0 / (3.0 * g_abs), 1.0, delta, n_max)

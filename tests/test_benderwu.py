@@ -112,7 +112,7 @@ class TestEnergySeries:
 
     def test_series_evaluation_low_order(self, bw_state):
         # E = 1 + 2 (g/4) - (1/4)(g/4)(2d) + O(g^2)
-        from anires import truncated_double_sum
+        from paper_formulas import truncated_double_sum
 
         val = truncated_double_sum(bw_state.energy, Fraction(1, 100), Fraction(1, 10), 1)
         assert val == 1 + 2 * Fraction(1, 100) - Fraction(1, 4) * Fraction(1, 100) * Fraction(1, 10)

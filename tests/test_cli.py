@@ -300,6 +300,7 @@ def test_partial_failure_sets_exit_status(argv, written, failed, tmp_path, monke
     (["model-eval", "--g4", "0.1", "--delta-range", "0:1:0"], None),
     (["model-eval", "--g4", "0.1", "--delta", "0", "--tol", "nan"], None),
     (["model-crossover", "--delta", "abc"], None),
+    (["model-crossover", "--delta", "3", "--kmax", "64"], None),
     (["qm-resum", "--g4", "0.1", "--delta", "0", "--sigma", "x"], None),
     (["qm-resum", "--g4", "0.1", "--delta", "0", "--sigma", "0"], None),
     (["figures", "--which", "fig5", "--sigma=-1"], None),
@@ -312,7 +313,7 @@ def test_partial_failure_sets_exit_status(argv, written, failed, tmp_path, monke
     (["model-eval", "--g4", "0.1", "--delta", "0"], "0"),
 ], ids=["g4", "g4-zero-denominator", "g4-zero", "g4-negative", "g4-missing", "delta-missing",
         "delta-and-range", "delta", "range-values", "range-parts", "range-empty",
-        "range-step", "tol", "crossover-delta", "sigma", "sigma-zero", "figures-sigma",
+        "range-step", "tol", "crossover-delta", "crossover-delta-domain", "sigma", "sigma-zero", "figures-sigma",
         "orders", "orders-negative", "kmax-negative", "order-negative", "vpt-baseline",
         "env-tol", "env-tol-zero"])
 def test_malformed_value_is_usage_error(argv, env, monkeypatch, capsys):
@@ -326,6 +327,28 @@ def test_malformed_value_is_usage_error(argv, env, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("usage:") and "Traceback" not in err
     assert ("ANIRES_QUAD_TOL" in err) == (env is not None)
+
+
+@pytest.mark.parametrize("which, flags", [
+    (fig, flags) for fig in ("fig1", "fig2a", "fig2b")
+    for flags in (["--g4", "5"], ["--raw-g"], ["--sigma", "9"], ["--tol", "1e-3"])
+] + [("fig4", ["--sigma", "3"]), ("fig7", ["--sigma", "3"]), ("fig7", ["--tol", "1e-3"])])
+def test_figures_rejects_flag_the_figure_ignores(which, flags, capsys):
+    # the output would not depend on the flag, so giving it is a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["figures", "--which", which] + flags)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and f"does not use {flags[0]}" in err
+
+
+def test_figures_env_tol_stays_a_default(tmp_path, monkeypatch):
+    # ANIRES_QUAD_TOL is a default for every command, never a flag a figure rejects
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main(["figures", "--which", "fig2b", "--out", str(a)]) == 0
+    monkeypatch.setenv("ANIRES_QUAD_TOL", "1e-3")
+    assert main(["figures", "--which", "fig2b", "--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
 
 
 def test_quad_tol_env_override(tmp_path, monkeypatch):

@@ -6,25 +6,28 @@ import pytest
 
 from anires import (
     QuadratureSpec,
-    gamma_n,
-    imaginary_part_terms,
     integrate_semiline,
-    large_order_estimate,
-    large_order_estimate_delta,
     legendre_scaled,
     model_large_order_params,
-    strong_coupling_kappa,
     z_coeff,
-    z_coeff_delta,
     z_coeff_delta_scaled,
     z_reference,
+)
+from paper_formulas import (
+    gamma_n,
+    large_order_estimate,
+    large_order_estimate_delta,
+    model_im_prefactor,
+    model_imaginary_part,
+    strong_coupling_kappa,
+    z_coeff_delta,
 )
 
 TIGHT = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-12, max_refinements=12)
 
 
-def model_estimate(k, n, form="power"):
-    return large_order_estimate(model_large_order_params(), gamma_n(n), k, n, form)
+def model_estimate(k, n, gamma_form=False):
+    return large_order_estimate(model_large_order_params(), gamma_n(n), k, n, gamma_form)
 
 
 def double_factorial(n: int) -> int:
@@ -238,8 +241,8 @@ class TestZReference:
 
 class TestStrongCoupling:
     def test_kappa_at_zero(self):
-        res = strong_coupling_kappa(0.0, 10)
-        assert res.value == pytest.approx(math.sqrt(math.pi) / 2.0, rel=1e-15)
+        value, _ = strong_coupling_kappa(0.0, 10)
+        assert value == pytest.approx(math.sqrt(math.pi) / 2.0, rel=1e-15)
 
     def test_term_ratio_tends_to_half(self):
         # direct term recurrence oracle: t_n/t_{n-1} = d (2n-1)^2/(8 n^2) -> d/2
@@ -252,60 +255,70 @@ class TestStrongCoupling:
         assert r50 == pytest.approx(0.5, abs=0.02)
         assert abs(r50 - 0.5) < abs(r10 - 0.5)
         # and the partial sums agree with the oracle accumulation
-        assert strong_coupling_kappa(1.0, 51).value == pytest.approx(sum(terms), rel=1e-12)
+        assert strong_coupling_kappa(1.0, 51)[0] == pytest.approx(sum(terms), rel=1e-12)
 
-    def test_divergence_warning(self):
-        with pytest.warns(UserWarning):
-            strong_coupling_kappa(2.0, 5)
+    @pytest.mark.parametrize("delta", [2.0, -2.0, 3.0, float("nan")])
+    def test_divergence_raises(self, delta):
+        with pytest.raises(ValueError, match=r"\|delta\| < 2"):
+            strong_coupling_kappa(delta, 5)
 
     def test_remainder_estimate_bounds_tail(self):
-        short = strong_coupling_kappa(1.0, 20)
-        long = strong_coupling_kappa(1.0, 200)
-        assert abs(long.value - short.value) <= 2.0 * short.remainder
+        short, remainder = strong_coupling_kappa(1.0, 20)
+        long, _ = strong_coupling_kappa(1.0, 200)
+        assert abs(long - short) <= 2.0 * remainder
 
     @pytest.mark.parametrize("delta", [-1.0, 0.0, 1.0])
     def test_consistency_with_reference_integral(self, delta):
         # g^{1/2} Z(g, d) -> kappa(d); within 1% at g = 1e4
         g = 1e4
-        kappa = strong_coupling_kappa(delta, 100).value
+        kappa, _ = strong_coupling_kappa(delta, 100)
         assert math.sqrt(g) * z_reference(g, delta, TIGHT) == pytest.approx(kappa, rel=0.01)
 
     def test_kappa_bound_at_g_1000(self):
         g = 1e3
-        ratio = math.sqrt(g) * z_reference(g, 0.0, TIGHT) / strong_coupling_kappa(0.0, 100).value
+        ratio = math.sqrt(g) * z_reference(g, 0.0, TIGHT) / strong_coupling_kappa(0.0, 100)[0]
         assert abs(ratio - 1.0) <= 0.05
 
 
+def im_term(n, g_abs):
+    """|Im Z| at order d^n, written out: prefactor_n (1/(4|g|))^{n+1/2} e^{-1/(4|g|)}."""
+    u = 1.0 / (4.0 * g_abs)
+    return model_im_prefactor(n) * u ** (n + 0.5) * math.exp(-u) if u < 700.0 else 0.0
+
+
 class TestImaginaryPart:
+    # each n-test also pins the exponent scale 4 and the power n + 1/2, on the
+    # assembled Im Z with only its d^n term left
     def test_n0_prefactor(self):
-        t = imaginary_part_terms(0)[0]
-        assert t.prefactor == pytest.approx(math.sqrt(math.pi), rel=1e-15)
-        assert t.power == 0.5
-        assert t.exponent_scale == 4.0
+        assert model_im_prefactor(0) == pytest.approx(math.sqrt(math.pi), rel=1e-15)
+        assert -model_imaginary_part(0.1, 0.0, 0) == pytest.approx(
+            math.sqrt(math.pi) * 2.5**0.5 * math.exp(-2.5), rel=1e-14)
 
     def test_n1_prefactor(self):
         # Gamma(3/2)/(2 * 1!^2) = sqrt(pi)/4
-        t = imaginary_part_terms(1)[1]
-        assert t.prefactor == pytest.approx(math.sqrt(math.pi) / 4.0, rel=1e-15)
-        assert t.power == 1.5
+        assert model_im_prefactor(1) == pytest.approx(math.sqrt(math.pi) / 4.0, rel=1e-15)
+        d = 0.5
+        at_d1 = model_imaginary_part(0.1, d, 1) - model_imaginary_part(0.1, d, 0)
+        assert at_d1 == pytest.approx(d * math.sqrt(math.pi) / 4.0 * 2.5**1.5 * math.exp(-2.5),
+                                      rel=1e-13)
 
     def test_n2_prefactor(self):
         # Gamma(5/2)/(2^2 * 2!^2) = (3 sqrt(pi)/4)/16 = 3 sqrt(pi)/64
-        t = imaginary_part_terms(2)[2]
-        assert t.prefactor == pytest.approx(3.0 * math.sqrt(math.pi) / 64.0, rel=1e-15)
-        assert t.power == 2.5
+        assert model_im_prefactor(2) == pytest.approx(3.0 * math.sqrt(math.pi) / 64.0, rel=1e-15)
+        d = 0.5
+        at_d2 = model_imaginary_part(0.1, d, 2) - model_imaginary_part(0.1, d, 1)
+        assert at_d2 == pytest.approx(
+            -d * d * 3.0 * math.sqrt(math.pi) / 64.0 * 2.5**2.5 * math.exp(-2.5), rel=1e-12)
 
     def test_gamma_ratio_oracle(self):
         for n in range(8):
             expected = math.exp(math.lgamma(n + 0.5)) / (2**n * math.factorial(n) ** 2)
-            assert imaginary_part_terms(n)[n].prefactor == pytest.approx(expected, rel=1e-13)
+            assert model_im_prefactor(n) == pytest.approx(expected, rel=1e-13)
 
     def test_assembled_sign_and_decay(self):
-        from anires import imaginary_part
-
         # Im Z < 0 on the cut, magnitude shrinking as |g| -> 0
-        v1 = imaginary_part(0.10, 0.5, 6)
-        v2 = imaginary_part(0.05, 0.5, 6)
+        v1 = model_imaginary_part(0.10, 0.5, 6)
+        v2 = model_imaginary_part(0.05, 0.5, 6)
         assert v1 < 0 and v2 < 0
         assert abs(v2) < abs(v1)
 
@@ -316,13 +329,11 @@ class TestLargeOrderEstimate:
         # imaginary part; must reproduce the gamma-form estimate to machine
         # precision (identical integral, done analytically vs numerically)
         for k, n in [(10, 0), (13, 1), (17, 2)]:
-            term = imaginary_part_terms(n)[n]
-
             def integrand(u):  # u = |g|; Im Z^{(n)}(-u) / u^{k+1} up to signs
-                return term.magnitude(u) / u ** (k + 1)
+                return im_term(n, u) / u ** (k + 1)
 
             val = integrate_semiline(integrand, TIGHT).value / math.pi
-            est = model_estimate(k, n, form="gamma")
+            est = model_estimate(k, n, gamma_form=True)
             assert val == pytest.approx(math.exp(est.ln), rel=1e-9)
 
     def test_ratio_exact_to_estimate_n0(self):
@@ -368,6 +379,21 @@ class TestLargeOrderEstimate:
             math.log(abs(exact.numerator)) - math.log(exact.denominator) - est.ln
         )
         assert abs(ratio - 1.0) <= 0.05
+
+    def test_delta_zero_regime(self):
+        k = 400
+        est = large_order_estimate_delta(k, 0.0)
+        exact = z_coeff_delta(k, 0)
+        ratio = math.exp(
+            math.log(abs(exact.numerator)) - math.log(exact.denominator) - est.ln
+        )
+        assert abs(ratio - 1.0) <= 0.05
+
+    @pytest.mark.parametrize("delta", [2.0, 3.0, float("nan")])
+    def test_delta_domain(self, delta):
+        # Z(g, d) exists only for d < 2; NaN must not slip through as ln = nan
+        with pytest.raises(ValueError, match="delta < 2"):
+            large_order_estimate_delta(5, delta)
 
     def test_k_zero_raises(self):
         with pytest.raises(ValueError):

@@ -7,15 +7,18 @@ from anires import (
     CoefficientTable,
     QuadratureSpec,
     integrate_unit,
-    large_order_estimate,
     qm_approximant,
-    qm_gamma_n,
-    qm_imaginary_terms,
     qm_large_order_params,
     reexpansion_check,
     vpt_energy,
 )
-from anires.qm import beta_symmetric_half
+from paper_formulas import (
+    beta_symmetric_half,
+    large_order_estimate,
+    qm_gamma_n,
+    qm_im_prefactor,
+    qm_imaginary_part,
+)
 
 TIGHT = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-12, max_refinements=12)
 
@@ -48,26 +51,26 @@ class TestBetaIdentity:
 
 class TestImaginaryTerms:
     def test_n0_is_six(self):
-        t = qm_imaginary_terms(0)[0]
-        assert t.prefactor == pytest.approx(6.0, rel=1e-15)
-        assert t.power == 1.0
-        assert t.exponent_scale == 0.75  # exp(-4/(3|g|)) = exp(-1/(0.75 |g|))
+        assert qm_im_prefactor(0) == pytest.approx(6.0, rel=1e-15)
+        # the power n + 1 and exp(-4/(3|g|)) = exp(-1/(0.75 |g|)), at |g| = 0.2
+        assert qm_imaginary_part(0.2, 0.0, 0) == pytest.approx(
+            6.0 * (4.0 / 0.6) * math.exp(-4.0 / 0.6), rel=1e-14)
 
     def test_n1_is_three_halves(self):
         # (6/pi) * 2 * B(3/2,3/2) = (6/pi) * 2 * pi/8 = 3/2
-        t = qm_imaginary_terms(1)[1]
-        assert t.prefactor == pytest.approx(1.5, rel=1e-15)
+        assert qm_im_prefactor(1) == pytest.approx(1.5, rel=1e-15)
+        d = 0.5
+        at_d1 = qm_imaginary_part(0.2, d, 1) - qm_imaginary_part(0.2, d, 0)
+        assert at_d1 == pytest.approx(-d * 1.5 * (4.0 / 0.6) ** 2 * math.exp(-4.0 / 0.6),
+                                      rel=1e-13)
 
     def test_n2_gamma_identity_oracle(self):
         # (6/pi) (2^2/2!) B(5/2,5/2) = 9/32
         expected = (6.0 / math.pi) * 2.0 * beta_symmetric_half(2)
-        t = qm_imaginary_terms(2)[2]
-        assert t.prefactor == pytest.approx(expected, rel=1e-14)
-        assert t.prefactor == pytest.approx(9.0 / 32.0, rel=1e-14)
+        assert qm_im_prefactor(2) == pytest.approx(expected, rel=1e-14)
+        assert qm_im_prefactor(2) == pytest.approx(9.0 / 32.0, rel=1e-14)
 
     def test_assembled_positive_and_decaying(self):
-        from anires import qm_imaginary_part
-
         v1 = qm_imaginary_part(0.20, 0.5, 6)
         v2 = qm_imaginary_part(0.10, 0.5, 6)
         assert v1 > 0 and v2 > 0

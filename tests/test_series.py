@@ -10,10 +10,10 @@ from anires import (
     LargeOrderParams,
     SignedLog,
     local_exponent,
-    truncated_double_sum,
     z_coeff,
 )
 from anires.series import log_abs_fraction
+from paper_formulas import truncated_double_sum
 
 
 def small_table(kmax=3):

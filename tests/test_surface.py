@@ -1,9 +1,10 @@
-"""Guards for the public surface: what the package names exists, and the
-runtime needs nothing beyond the standard library."""
+"""Guards for the public surface: what the package names exists and has a
+runtime reader, and the runtime needs nothing beyond the standard library."""
 
 import ast
 import importlib
 import pkgutil
+import re
 import sys
 from pathlib import Path
 
@@ -12,6 +13,7 @@ import pytest
 import anires
 
 SRC = Path(anires.__file__).parent
+ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted(info.name for info in pkgutil.iter_modules(anires.__path__))
 
 
@@ -49,3 +51,33 @@ def test_runtime_imports_only_stdlib():
 def test_parses_as_python_3_10(path):
     # pyproject.toml declares requires-python >= 3.10
     ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+
+
+# public names that no runtime path reads, each kept for the reason given
+RUNTIME_CALLER_ALLOWLIST = {
+    "basis_series_coefficient": "public handle on the I^p_k recurrence borel._basis_series "
+                                "that reexpansion_check runs; its tests pin it",
+    "reexpansion_coefficients": "public handle on the recurrence vpt._eps_coefficients "
+                                "that w_laurent runs; its tests pin it",
+}
+
+
+def test_public_names_have_a_runtime_caller():
+    # a name in a module's __all__ must be read somewhere in the package (a Name or
+    # Attribute load outside __init__.py) or be named by the benchmark; formulas that
+    # only tests evaluate live in tests/paper_formulas.py
+    used = set()
+    exported = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                used.add(node.attr)
+        exported += getattr(importlib.import_module(f"anires.{path.stem}"), "__all__", ())
+    bench = " ".join(p.read_text() for p in (ROOT / "perfbench").glob("*.py"))
+    unused = sorted(name for name in exported
+                    if name not in used and re.search(rf"\b{name}\b", bench) is None)
+    assert unused == sorted(RUNTIME_CALLER_ALLOWLIST)
