@@ -49,7 +49,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, islice, repeat
+from itertools import accumulate, count, islice, repeat
 from operator import mul
 from typing import Dict, Iterator, List, Sequence, Tuple, Union
 
@@ -140,20 +140,25 @@ def borel_coefficients(
     return out
 
 
-def _basis_series(spec: BorelBasisSpec, kmax: int, scale: Rational = 1) -> Iterator[Fraction]:
-    """``scale`` times I^p_k for k = p .. kmax, each term from the previous one
-    by the ratio of the closed form in :func:`basis_series_coefficient`,
+def _basis_series(p: int, b0, alpha, sigma, x, scale=1) -> Iterator:
+    """``scale`` times the terms I^p_k x^k of the power series of I_p(x), for
+    k = p, p+1, ... without end, each from the previous one by the ratio of the
+    closed form in :func:`basis_series_coefficient`,
 
-        I^p_k / I^p_{k-1} = (-sigma)(b0+k)(a+m-1)(a+m-1/2) / ((2a+m) m).
+        I^p_k x / I^p_{k-1} = (-sigma x)(b0+k)(a+m-1)(a+m-1/2) / ((2a+m) m).
+
+    Exact for rational arguments (x = 1 gives the coefficients I^p_k); floats
+    for the terms at a coupling x = g.
     """
-    p, b0, sigma = spec.p, spec.b0, Fraction(spec.sigma)
-    a = p - Fraction(spec.alpha)
-    term = scale * (sigma / 4) ** p * pochhammer(b0 + 1, p)
+    a = p - alpha
+    term = scale * (sigma * x / 4) ** p
+    for i in range(1, p + 1):
+        term *= b0 + i  # (b0+1)_p
     yield term
     # the ratio's factors at m = 0, each advanced by m
-    b0_k, a_1, a_half, two_a = b0 + p, a - 1, a - Fraction(1, 2), 2 * a
-    for m in range(1, kmax - p + 1):
-        term *= -sigma * (b0_k + m) * (a_1 + m) * (a_half + m) / ((two_a + m) * m)
+    minus_sx, b0_k, a_1, a_half, two_a = -sigma * x, b0 + p, a - 1, a - Fraction(1, 2), 2 * a
+    for m in count(1):
+        term *= minus_sx * (b0_k + m) * (a_1 + m) * (a_half + m) / ((two_a + m) * m)
         yield term
 
 
@@ -167,8 +172,8 @@ def basis_series_coefficient(spec: BorelBasisSpec, k: int) -> Fraction:
     """
     if k < spec.p:
         return Fraction(0)
-    *_, value = _basis_series(spec, k)
-    return value
+    terms = _basis_series(spec.p, spec.b0, Fraction(spec.alpha), Fraction(spec.sigma), 1)
+    return next(islice(terms, k - spec.p, None))
 
 
 def _basis_series_value(p: int, b0: float, alpha: float, sigma: float, g: float) -> float:
@@ -177,31 +182,14 @@ def _basis_series_value(p: int, b0: float, alpha: float, sigma: float, g: float)
     Terms alternate; summation stops at the smallest term, whose magnitude
     bounds the truncation error (~exp(-1/(sigma g)) at the optimum).
     """
-    a = p - alpha
-    term = (sigma * g / 4.0) ** p
-    for i in range(p):
-        term *= b0 + 1 + i  # (b0+1)_p
-    total = term
-    last = abs(term)
-    m = 0
-    while True:
-        ratio = (
-            -sigma
-            * g
-            * (b0 + 1 + p + m)
-            * (a + m)
-            * (a + 0.5 + m)
-            / ((2 * a + 1 + m) * (m + 1))
-        )
-        nxt = term * ratio
-        if abs(nxt) >= last:
+    terms = _basis_series(p, b0, alpha, sigma, g)
+    total = next(terms)
+    last = abs(total)
+    for term in terms:
+        if abs(term) >= last:
             break
-        term = nxt
         total += term
         last = abs(term)
-        m += 1
-        if m > 10000:  # unreachable for sigma*g below the switch point
-            break
     return total
 
 
@@ -312,8 +300,10 @@ class ResummedApproximant:
     ``a[(p, n)]`` holds the exact coefficients, n <= p <= N.  ``resum``
     evaluates ``sum_n (sum_p a_pn I_pn(g)) y^n`` where y is the anisotropy
     variable the input table is written in.  The I_pn with a_pn != 0 are
-    computed together by :func:`basis_integrals`, one column per n, and
-    memoized per (g, quadrature spec).
+    computed together by :func:`basis_integrals`, one column per n, and the
+    vector of the latest (g, quadrature spec) is kept: callers evaluate every
+    anisotropy at one coupling in a row, and a memo of every coupling seen
+    would grow without bound over a scan.
     """
 
     N: int
@@ -341,14 +331,16 @@ class ResummedApproximant:
         )
 
     def basis_values(self, g: float, quad: QuadratureSpec = DEFAULT_SPEC) -> List[List[float]]:
-        """I_pn(g) for every nonzero a_pn, one list per column of ``_columns``, memoized."""
+        """I_pn(g) for every nonzero a_pn, one list per column of ``_columns``;
+        the latest (g, quad) is memoized."""
         key = (g, quad)
         values = self._cache.get(key)
         if values is None:
             params = self.params
-            values = self._cache[key] = basis_integrals(
+            values = basis_integrals(
                 params.sigma, params.alpha,
                 [(n + params.b0_offset, ps) for n, ps, _ in self._columns], g, quad)
+            self._cache = {key: values}
         return values
 
     def basis_value(self, p: int, n: int, g: float, quad: QuadratureSpec = DEFAULT_SPEC) -> float:
@@ -400,7 +392,9 @@ def reexpansion_check(approx: ResummedApproximant) -> Union[Fraction, float]:
             coeff = approx.a[(p, n)]
             if coeff == 0:
                 continue
-            for k, term in enumerate(_basis_series(approx.basis_spec(p, n), N, coeff), p):
+            spec = approx.basis_spec(p, n)
+            terms = _basis_series(p, spec.b0, spec.alpha, spec.sigma, 1, coeff)
+            for k, term in zip(range(p, N + 1), terms):
                 recovered[k - n] += term
         for k, value in enumerate(recovered, n):
             target = approx.input_table.entry(k, n)

@@ -3,20 +3,18 @@
 Every command writes one deterministic CSV (or JSON) file: rows are emitted
 in sorted grid order, and floats are rendered with shortest round-trip repr,
 so identical configurations produce byte-identical output.  Couplings are
-entered as g/4 (every figure and table is parameterized that way); --raw-g
-switches the flag value to raw g, in every command that takes --g4.
+entered as g/4 (every figure and table is parameterized that way), so
+g = 1 is --g4 1/4.
 
 Exit status is 0 only if every requested grid point evaluated successfully;
 failures are listed on stderr and flip the status to 1.  A reader that closes
 stdout early (`anires ... | head`) also gives status 1, without a traceback.
-A malformed flag value (including a --g4 that is not positive, and a
-model-crossover --delta of 2 or more), a missing required flag (--g4, and one
-of --delta and --delta-range, where a command takes them), conflicting flags
-(--delta together with --delta-range) and a figures flag that the chosen
-figure does not read are usage errors (status 2) before any work starts.
-
-Environment: ANIRES_QUAD_TOL overrides the default quadrature tolerance, as
---tol does; a malformed value is a usage error too.
+A malformed flag value (including a --g4 that is not positive, a --g4 or
+--delta that floats cannot hold, and a model-crossover --delta of 2 or more), a
+missing required flag (--g4, and one of --delta and --delta-range, where a
+command takes them), conflicting flags (--delta together with --delta-range)
+and a figures flag that the chosen figure does not read are usage errors
+(status 2) before any work starts.
 """
 
 from __future__ import annotations
@@ -24,6 +22,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -45,17 +44,26 @@ def _arg(convert: Callable, expected: str, check: Callable = lambda value: True)
     def parse(text: str):
         try:
             value = convert(text)
-        except (ValueError, ZeroDivisionError):
-            value = None
-        if value is None or not check(value):
+            ok = check(value)
+        except (ValueError, ZeroDivisionError, OverflowError):
+            ok = False
+        if not ok:
             raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
         return value
     return parse
 
 
-_fraction = _arg(Fraction, "an exact decimal or fraction")
-_model_delta = _arg(Fraction, "an exact decimal or fraction < 2", lambda v: v < 2)
+def _finite(value: Fraction) -> bool:
+    return math.isfinite(float(value))
+
+
+_fraction = _arg(Fraction, "a finite exact decimal or fraction", _finite)
+_model_delta = _arg(Fraction, "a finite exact decimal or fraction < 2",
+                    lambda v: v < 2 and _finite(v))
 _positive_fraction = _arg(Fraction, "an exact decimal or fraction > 0", lambda v: v > 0)
+# the commands evaluate at float(g/4) and at g = 4.0 * float(g/4)
+_coupling = _arg(Fraction, "an exact decimal or fraction > 0 whose g/4 and g are finite "
+                 "positive floats", lambda v: float(v) > 0 and math.isfinite(4.0 * float(v)))
 _tolerance = _arg(float, "a number > 0", lambda v: v > 0)
 _count = _arg(int, "an integer >= 0", lambda v: v >= 0)
 _crossover_kmax = _arg(int, "an integer >= 16", lambda v: v >= 16)
@@ -129,13 +137,6 @@ def _write_rows(path: Optional[str], header: Sequence[str], rows: Sequence[Seque
             out.close()
 
 
-def _g4_value(args, default: Optional[str] = None) -> Fraction:
-    """The coupling g/4: --g4, divided by 4 under --raw-g, else ``default``."""
-    if args.g4 is None:
-        return Fraction(default)
-    return args.g4 / 4 if args.raw_g else args.g4
-
-
 def _delta_grid(args) -> List[Fraction]:
     return args.delta_range or [args.delta]
 
@@ -161,11 +162,10 @@ def _run_grid(args, header: Sequence[str], evaluate: Callable[..., tuple],
     return 1 if failures else 0
 
 
-def _write_table(args, table: CoefficientTable, decimal: bool) -> int:
-    """The exact entries k, n, numerator, denominator (and decimal) of a table."""
-    header = ["k", "n", "numerator", "denominator"] + (["decimal"] if decimal else [])
-    rows = [(k, n, str(v.numerator), str(v.denominator))
-            + ((_fraction_decimal(v),) if decimal else ())
+def _write_table(args, table: CoefficientTable) -> int:
+    """The exact entries k, n, numerator, denominator and decimal of a table."""
+    header = ["k", "n", "numerator", "denominator", "decimal"]
+    rows = [(k, n, str(v.numerator), str(v.denominator), _fraction_decimal(v))
             for (k, n), v in table.items()]
     _write_rows(args.out, header, rows, args.format)
     return 0
@@ -181,20 +181,16 @@ def _dump_approximant(args, approx) -> None:
 
 
 def cmd_model_coeffs(args) -> int:
-    return _write_table(args, model.ModelCoefficients.build(args.kmax).table, decimal=True)
+    return _write_table(args, model.ModelCoefficients.build(args.kmax).table)
 
 
 def cmd_qm_coeffs(args) -> int:
-    return _write_table(args, benderwu.build(args.kmax).energy, decimal=True)
-
-
-def cmd_benderwu(args) -> int:
-    return _write_table(args, benderwu.build(args.kmax).energy, decimal=False)
+    return _write_table(args, benderwu.build(args.kmax).energy)
 
 
 def cmd_model_eval(args) -> int:
     spec = _quad_spec(args.tol)
-    g = 4.0 * float(_g4_value(args))
+    g = 4.0 * float(args.g4)
     points = [{"delta": d} for d in _delta_grid(args)]
 
     def one(delta):
@@ -223,7 +219,7 @@ def cmd_model_crossover(args) -> int:
 
 def cmd_model_resum(args) -> int:
     spec = _quad_spec(args.tol)
-    g = 4.0 * float(_g4_value(args))
+    g = 4.0 * float(args.g4)
     N = args.order
     points = [{"delta": d} for d in _delta_grid(args)]
     mc = model.ModelCoefficients.build(N)
@@ -241,7 +237,7 @@ def cmd_model_resum(args) -> int:
 
 def cmd_qm_resum(args) -> int:
     spec = _quad_spec(args.tol)
-    gbar = _g4_value(args)
+    gbar = args.g4
     N = args.order
     points = [{"delta": d} for d in _delta_grid(args)]
     state = benderwu.build(max(N, args.vpt_baseline or 0))
@@ -260,7 +256,7 @@ def cmd_qm_resum(args) -> int:
 
 def cmd_vpt(args) -> int:
     orders = args.orders
-    g4 = _g4_value(args)
+    g4 = args.g4
     points = [{"delta": d, "k": k} for d in _delta_grid(args) for k in orders]
     state = benderwu.build(max(orders))
     selection = "min_omega" if args.min_omega else "min_w"
@@ -283,7 +279,7 @@ def cmd_figures(args) -> int:
         args.delta, args.kmax = delta, kmax
         return cmd_model_crossover(args)
     if which == "fig4":
-        g = 4.0 * float(_g4_value(args, "1/4"))
+        g = 4.0 * float(args.g4 or Fraction(1, 4))
         mc = model.ModelCoefficients.build(8)
         params = model.model_large_order_params()
         approxes = [build_approximant(mc.table, N, params) for N in (2, 4, 6, 8)]
@@ -299,7 +295,7 @@ def cmd_figures(args) -> int:
         gbar_default = {"fig5": "1/10", "fig6": "1", "fig8": "1/10", "fig9": "1"}[which]
         # fig8/fig9 are the larger-sigma refit of fig5/fig6
         sigma = args.sigma or Fraction(3 if which in ("fig5", "fig6") else 4)
-        gbar = _g4_value(args, gbar_default)
+        gbar = args.g4 or Fraction(gbar_default)
         orders = (2, 4, 6) if which in ("fig8", "fig9") else (2, 4, 6, 8)
         state = benderwu.build(12)
         approxes = [qm.qm_approximant(state.energy, N, sigma) for N in orders]
@@ -313,7 +309,7 @@ def cmd_figures(args) -> int:
         return _run_grid(args, header, qm_row,
                          [{"delta": d} for d in _parse_range("-3/2:2:1/10")])
     # fig7, the last of the parser's choices
-    gbar = _g4_value(args, "1/10")
+    gbar = args.g4 or Fraction(1, 10)
     state = benderwu.build(5)
     rows = []
     for ds in ("-3/2", "-1/2", "1/2", "3/2"):
@@ -328,7 +324,7 @@ def cmd_figures(args) -> int:
 
 # the flags of `figures` that a figure does not read
 _FIGURE_UNUSED = {
-    **dict.fromkeys(("fig1", "fig2a", "fig2b"), ("g4", "raw_g", "sigma", "tol")),
+    **dict.fromkeys(("fig1", "fig2a", "fig2b"), ("g4", "sigma", "tol")),
     "fig4": ("sigma",),
     "fig7": ("sigma", "tol"),
 }
@@ -341,16 +337,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def coupling(p, required):
-        p.add_argument("--g4", type=_positive_fraction, required=required,
-                       help="coupling g/4 > 0 (exact decimal or fraction)")
-        p.add_argument("--raw-g", action="store_true",
-                       help="interpret --g4 as raw g instead of g/4")
-
     def common(p, *, g4=False, delta=False, order=False, orders=False,
                sigma=False, kmax=None, tol=True):
         if g4:
-            coupling(p, required=True)
+            p.add_argument("--g4", type=_coupling, required=True,
+                           help="coupling g/4 > 0 (exact decimal or fraction)")
         if delta:
             grid = p.add_mutually_exclusive_group(required=True)
             grid.add_argument("--delta", type=_fraction,
@@ -409,15 +400,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="select the smallest-Omega stationary point instead of min W")
     p.set_defaults(fn=cmd_vpt)
 
-    p = sub.add_parser("benderwu", help="energy table CSV (fixture layout)")
-    common(p, kmax=12, tol=False)
-    p.set_defaults(fn=cmd_benderwu)
-
     p = sub.add_parser("figures", help="reproduce a figure's data as CSV")
     p.add_argument("--which", required=True,
                    choices=["fig1", "fig2a", "fig2b", "fig4", "fig5", "fig6",
                             "fig7", "fig8", "fig9"])
-    coupling(p, required=False)
+    p.add_argument("--g4", type=_coupling, help="coupling g/4 > 0 (default per figure)")
     common(p)
     p.add_argument("--sigma", type=_positive_fraction, default=None,
                    help="growth parameter override (default 3; 4 for fig8/fig9)")
@@ -430,16 +417,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "figures":
-        unused = [f"--{name.replace('_', '-')}" for name in _FIGURE_UNUSED.get(args.which, ())
-                  if getattr(args, name) not in (None, False)]
+        unused = [f"--{name}" for name in _FIGURE_UNUSED.get(args.which, ())
+                  if getattr(args, name) is not None]
         if unused:
             parser.error(f"figures --which {args.which} does not use {', '.join(unused)}")
-    env = os.environ.get("ANIRES_QUAD_TOL")
-    if env is not None and "tol" in vars(args) and args.tol is None:
-        try:
-            args.tol = _tolerance(env)
-        except argparse.ArgumentTypeError as exc:
-            parser.error(f"ANIRES_QUAD_TOL: {exc}")
     try:
         status = args.fn(args)
         sys.stdout.flush()

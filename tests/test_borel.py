@@ -26,6 +26,7 @@ from anires import (
 from anires.borel import ResummedApproximant, pochhammer
 from anires.model import MODEL_ALPHA
 from anires.qm import QM_ALPHA
+from anires.quadrature import DEFAULT_SPEC
 from anires.specfun import generalized_binomial
 
 TIGHT = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-12, max_refinements=12)
@@ -354,3 +355,15 @@ def test_cache_keyed_by_quadrature_spec():
     got = approx.resum(1.0, 0.5, tight)
     assert got == build_approximant(mc.table, 8, params).resum(1.0, 0.5, tight)
     assert got == pytest.approx(0.5677730315808759, rel=1e-12)
+
+
+def test_cache_keeps_latest_coupling_only():
+    # a scan over couplings leaves one basis vector, and a repeat at the latest
+    # coupling is served from it
+    approx = build_approximant(ModelCoefficients.build(4).table, 4, model_large_order_params())
+    for g in ((i + 1) / 10 for i in range(20)):
+        approx.resum(g, 0.5)
+    assert len(approx._cache) == 1
+    values = approx.basis_values(2.0)
+    assert approx.basis_values(2.0) is values
+    assert list(approx._cache) == [(2.0, DEFAULT_SPEC)]

@@ -1,14 +1,16 @@
 import csv
 import json
 import os
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import anires
-from anires.cli import main
+from anires.cli import build_parser, main
 
 from fixtures_tables import TABLE1_EXACT
 
@@ -16,6 +18,16 @@ from fixtures_tables import TABLE1_EXACT
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
+
+
+def usage_error(argv, capsys) -> str:
+    """The stderr of ``main(argv)``, which must stop with usage and status 2."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and "Traceback" not in err
+    return err
 
 
 class TestModelCoeffs:
@@ -46,12 +58,12 @@ class TestModelCoeffs:
         assert len(doc) == 3
 
 
-class TestBenderwuCommand:
+class TestQmCoeffs:
     def test_matches_reference_fixture(self, tmp_path):
         out = tmp_path / "e.csv"
-        assert main(["benderwu", "--kmax", "12", "--out", str(out)]) == 0
+        assert main(["qm-coeffs", "--kmax", "12", "--out", str(out)]) == 0
         rows = read_csv(out)
-        assert rows[0] == ["k", "n", "numerator", "denominator"]
+        assert rows[0][:4] == ["k", "n", "numerator", "denominator"]
         got = {
             (int(r[0]), int(r[1])): Fraction(int(r[2]), int(r[3])) for r in rows[1:]
         }
@@ -59,16 +71,17 @@ class TestBenderwuCommand:
 
     def test_deterministic_output(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        main(["benderwu", "--kmax", "6", "--out", str(a)])
-        main(["benderwu", "--kmax", "6", "--out", str(b)])
+        main(["qm-coeffs", "--kmax", "6", "--out", str(a)])
+        main(["qm-coeffs", "--kmax", "6", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
     def test_json_format(self, tmp_path):
         out = tmp_path / "e.json"
-        assert main(["benderwu", "--kmax", "2", "--format", "json", "--out", str(out)]) == 0
+        assert main(["qm-coeffs", "--kmax", "2", "--format", "json", "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
         assert len(doc) == 6
-        assert doc[2] == {"k": 1, "n": 1, "numerator": "-1", "denominator": "4"}
+        assert doc[2] == {"k": 1, "n": 1, "numerator": "-1", "denominator": "4",
+                          "decimal": "-0.25"}
 
 
 class TestCrossoverCommand:
@@ -103,21 +116,15 @@ class TestCrossoverCommand:
         rows = read_csv(out)
         assert abs(float(rows[2][2]) + 1.0) < 0.02
 
-    def test_kmax_floor(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["model-crossover", "--delta", "0.01", "--kmax", "8"])
-        assert exc.value.code == 2
+    def test_kmax_floor(self, capsys):
+        usage_error(["model-crossover", "--delta", "0.01", "--kmax", "8"], capsys)
 
     @pytest.mark.parametrize("argv", [["--kmax", "32"],
                                       ["--delta", "1", "--delta-range=0:1:1"]],
                              ids=["no-delta", "delta-range"])
     def test_usage_error(self, argv, capsys):
         # --delta is required and --delta-range is not an option of this command
-        with pytest.raises(SystemExit) as exc:
-            main(["model-crossover"] + argv)
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("usage:") and "Traceback" not in err
+        usage_error(["model-crossover"] + argv, capsys)
 
 
 class TestModelEvalAndResum:
@@ -146,11 +153,21 @@ class TestModelEvalAndResum:
         main(args + ["--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
-    def test_raw_g_flag(self, tmp_path):
+    def test_raw_g_flag(self, tmp_path, capsys):
+        # --g4 is always g/4 and there is no --raw-g: g = 1 is --g4 1/4
+        err = usage_error(["model-eval", "--g4", "1", "--raw-g", "--delta", "0"], capsys)
+        assert "unrecognized arguments: --raw-g" in err
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         main(["model-eval", "--g4", "0.25", "--delta", "0", "--out", str(a)])
-        main(["model-eval", "--g4", "1", "--raw-g", "--delta", "0", "--out", str(b)])
+        main(["model-eval", "--g4", "1/4", "--delta", "0", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+    def test_tol_flag(self, tmp_path):
+        out = tmp_path / "e.csv"
+        assert main(["model-eval", "--g4", "0.25", "--delta", "0", "--tol", "1e-6",
+                     "--out", str(out)]) == 0
+        rows = read_csv(out)
+        assert float(rows[1][1]) == pytest.approx(0.5456413607650471, abs=1e-5)
 
     def test_approximant_dump(self, tmp_path):
         out = tmp_path / "r.csv"
@@ -170,15 +187,7 @@ class TestQmResum:
         assert rows[0] == ["delta", "e_resummed", "vpt_baseline"]
         resummed, baseline = float(rows[1][1]), float(rows[1][2])
         assert abs(resummed - baseline) / baseline < 0.008
-
-    def test_raw_g_applies_to_vpt_baseline(self, tmp_path):
-        # --g4 0.4 --raw-g is g/4 = 0.1: both columns match the --g4 0.1 run
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        args = ["qm-resum", "--delta", "0.5", "--order", "6", "--vpt-baseline", "11"]
-        assert main(args + ["--g4", "0.4", "--raw-g", "--out", str(a)]) == 0
-        assert main(args + ["--g4", "0.1", "--out", str(b)]) == 0
-        assert a.read_bytes() == b.read_bytes()
-        assert float(read_csv(a)[1][2]) == pytest.approx(1.134736659110728, rel=1e-12)
+        assert baseline == pytest.approx(1.134736659110728, rel=1e-12)
 
     def test_sigma_flag(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -228,11 +237,14 @@ class TestFigures:
         main(["figures", "--which", "fig8", "--sigma", "3", "--out", str(b)])
         assert a.read_bytes() != b.read_bytes()
 
-    def test_raw_g_flag(self, tmp_path):
-        # fig7 defaults to g/4 = 1/10; --g4 0.4 means g/4 = 0.4 without --raw-g
+    def test_raw_g_flag(self, tmp_path, capsys):
+        # fig7 defaults to g/4 = 1/10 and --g4 sets g/4; --raw-g, which fig7 once
+        # took and ignored without --g4, is not an option
+        err = usage_error(["figures", "--which", "fig7", "--raw-g"], capsys)
+        assert "unrecognized arguments: --raw-g" in err
         a, b, c = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "c.csv"
         main(["figures", "--which", "fig7", "--out", str(a)])
-        main(["figures", "--which", "fig7", "--g4", "0.4", "--raw-g", "--out", str(b)])
+        main(["figures", "--which", "fig7", "--g4", "1/10", "--out", str(b)])
         main(["figures", "--which", "fig7", "--g4", "0.4", "--out", str(c)])
         assert a.read_bytes() == b.read_bytes()
         assert a.read_bytes() != c.read_bytes()
@@ -285,78 +297,69 @@ def test_partial_failure_sets_exit_status(argv, written, failed, tmp_path, monke
     assert [r[column] for r in rows[1:]] == written
 
 
-@pytest.mark.parametrize("argv, env", [
-    (["model-eval", "--g4", "abc", "--delta", "0"], None),
-    (["model-eval", "--g4", "1/0", "--delta", "0"], None),
-    (["vpt", "--g4", "0", "--delta", "0", "--orders", "1"], None),
-    (["model-eval", "--g4=-1", "--delta", "0"], None),
-    (["model-eval", "--delta", "0"], None),
-    (["model-eval", "--g4", "0.1"], None),
-    (["model-eval", "--g4", "0.1", "--delta", "0", "--delta-range", "0:1:1"], None),
-    (["model-eval", "--g4", "0.1", "--delta", "x"], None),
-    (["model-eval", "--g4", "0.1", "--delta-range", "a:b:c"], None),
-    (["model-eval", "--g4", "0.1", "--delta-range", "1:2"], None),
-    (["model-eval", "--g4", "0.1", "--delta-range", "1:0:1"], None),
-    (["model-eval", "--g4", "0.1", "--delta-range", "0:1:0"], None),
-    (["model-eval", "--g4", "0.1", "--delta", "0", "--tol", "nan"], None),
-    (["model-crossover", "--delta", "abc"], None),
-    (["model-crossover", "--delta", "3", "--kmax", "64"], None),
-    (["qm-resum", "--g4", "0.1", "--delta", "0", "--sigma", "x"], None),
-    (["qm-resum", "--g4", "0.1", "--delta", "0", "--sigma", "0"], None),
-    (["figures", "--which", "fig5", "--sigma=-1"], None),
-    (["vpt", "--g4", "0.1", "--delta", "0", "--orders", "1,x"], None),
-    (["vpt", "--g4", "0.1", "--delta", "0", "--orders=-1"], None),
-    (["qm-coeffs", "--kmax=-1"], None),
-    (["qm-resum", "--g4", "0.1", "--delta", "0", "--order=-1"], None),
-    (["qm-resum", "--g4", "0.1", "--delta", "0", "--vpt-baseline", "x"], None),
-    (["model-eval", "--g4", "0.1", "--delta", "0"], "abc"),
-    (["model-eval", "--g4", "0.1", "--delta", "0"], "0"),
+@pytest.mark.parametrize("argv", [
+    ["model-eval", "--g4", "abc", "--delta", "0"],
+    ["model-eval", "--g4", "1/0", "--delta", "0"],
+    ["vpt", "--g4", "0", "--delta", "0", "--orders", "1"],
+    ["model-eval", "--g4=-1", "--delta", "0"],
+    ["model-eval", "--delta", "0"],
+    ["model-eval", "--g4", "0.1"],
+    ["model-eval", "--g4", "0.1", "--delta", "0", "--delta-range", "0:1:1"],
+    ["model-eval", "--g4", "0.1", "--delta", "x"],
+    ["model-eval", "--g4", "0.1", "--delta-range", "a:b:c"],
+    ["model-eval", "--g4", "0.1", "--delta-range", "1:2"],
+    ["model-eval", "--g4", "0.1", "--delta-range", "1:0:1"],
+    ["model-eval", "--g4", "0.1", "--delta-range", "0:1:0"],
+    ["model-eval", "--g4", "0.1", "--delta", "0", "--tol", "nan"],
+    ["model-crossover", "--delta", "abc"],
+    ["model-crossover", "--delta", "3", "--kmax", "64"],
+    ["qm-resum", "--g4", "0.1", "--delta", "0", "--sigma", "x"],
+    ["qm-resum", "--g4", "0.1", "--delta", "0", "--sigma", "0"],
+    ["figures", "--which", "fig5", "--sigma=-1"],
+    ["vpt", "--g4", "0.1", "--delta", "0", "--orders", "1,x"],
+    ["vpt", "--g4", "0.1", "--delta", "0", "--orders=-1"],
+    ["qm-coeffs", "--kmax=-1"],
+    ["qm-resum", "--g4", "0.1", "--delta", "0", "--order=-1"],
+    ["qm-resum", "--g4", "0.1", "--delta", "0", "--vpt-baseline", "x"],
+    # values that the float layers cannot hold
+    ["model-eval", "--g4", "1e400", "--delta", "0"],
+    ["qm-resum", "--g4", "0.1", "--delta", "1e400", "--order", "4"],
+    ["figures", "--which", "fig5", "--g4", "1e-400"],
+    ["model-eval", "--g4", "1e308", "--delta", "0"],
+    # no such command: qm-coeffs writes the E_kn table
+    ["benderwu", "--kmax", "12"],
 ], ids=["g4", "g4-zero-denominator", "g4-zero", "g4-negative", "g4-missing", "delta-missing",
         "delta-and-range", "delta", "range-values", "range-parts", "range-empty",
         "range-step", "tol", "crossover-delta", "crossover-delta-domain", "sigma", "sigma-zero", "figures-sigma",
         "orders", "orders-negative", "kmax-negative", "order-negative", "vpt-baseline",
-        "env-tol", "env-tol-zero"])
-def test_malformed_value_is_usage_error(argv, env, monkeypatch, capsys):
-    # a bad, missing or conflicting flag value, or a bad ANIRES_QUAD_TOL, stops before
-    # any work, with usage and status 2
-    if env is not None:
-        monkeypatch.setenv("ANIRES_QUAD_TOL", env)
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("usage:") and "Traceback" not in err
-    assert ("ANIRES_QUAD_TOL" in err) == (env is not None)
+        "g4-overflow", "delta-overflow", "g4-underflow", "g-overflow", "benderwu"])
+def test_malformed_value_is_usage_error(argv, capsys):
+    # a bad, missing or conflicting flag value stops before any work, with usage
+    # and status 2
+    usage_error(argv, capsys)
 
 
 @pytest.mark.parametrize("which, flags", [
     (fig, flags) for fig in ("fig1", "fig2a", "fig2b")
-    for flags in (["--g4", "5"], ["--raw-g"], ["--sigma", "9"], ["--tol", "1e-3"])
+    for flags in (["--g4", "5"], ["--g4", "5", "--sigma", "9"], ["--sigma", "9"],
+                  ["--tol", "1e-3"])
 ] + [("fig4", ["--sigma", "3"]), ("fig7", ["--sigma", "3"]), ("fig7", ["--tol", "1e-3"])])
 def test_figures_rejects_flag_the_figure_ignores(which, flags, capsys):
     # the output would not depend on the flag, so giving it is a usage error
-    with pytest.raises(SystemExit) as exc:
-        main(["figures", "--which", which] + flags)
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("usage:") and f"does not use {flags[0]}" in err
+    err = usage_error(["figures", "--which", which] + flags, capsys)
+    assert f"does not use {', '.join(flag for flag in flags if flag.startswith('--'))}" in err
 
 
-def test_figures_env_tol_stays_a_default(tmp_path, monkeypatch):
-    # ANIRES_QUAD_TOL is a default for every command, never a flag a figure rejects
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    assert main(["figures", "--which", "fig2b", "--out", str(a)]) == 0
-    monkeypatch.setenv("ANIRES_QUAD_TOL", "1e-3")
-    assert main(["figures", "--which", "fig2b", "--out", str(b)]) == 0
-    assert a.read_bytes() == b.read_bytes()
-
-
-def test_quad_tol_env_override(tmp_path, monkeypatch):
-    out = tmp_path / "e.csv"
-    monkeypatch.setenv("ANIRES_QUAD_TOL", "1e-6")
-    assert main(["model-eval", "--g4", "0.25", "--delta", "0", "--out", str(out)]) == 0
-    rows = read_csv(out)
-    assert float(rows[1][1]) == pytest.approx(0.5456413607650471, abs=1e-5)
+def test_readme_commands_parse():
+    # every `anires ...` line of the README's command-line block parses, so a
+    # README that still shows a removed command or flag fails here
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line, comments=True)
+                for line in block.replace("\\\n", " ").splitlines() if line.startswith("anires ")]
+    assert commands
+    for argv in commands:
+        build_parser().parse_args(argv[1:])
 
 
 def test_closed_stdout_exits_quietly():
