@@ -189,6 +189,17 @@ class TestQmResum:
         assert abs(resummed - baseline) / baseline < 0.008
         assert baseline == pytest.approx(1.134736659110728, rel=1e-12)
 
+    def test_raw_g_applies_to_vpt_baseline(self, tmp_path, capsys):
+        # --raw-g is not an option; g/4 = 1/10 reaches both columns as --g4 1/10
+        args = ["qm-resum", "--delta", "0.5", "--order", "6", "--vpt-baseline", "11"]
+        err = usage_error(args + ["--g4", "0.4", "--raw-g"], capsys)
+        assert "unrecognized arguments: --raw-g" in err
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(args + ["--g4", "1/10", "--out", str(a)]) == 0
+        assert main(args + ["--g4", "0.1", "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+        assert float(read_csv(a)[1][2]) == pytest.approx(1.134736659110728, rel=1e-12)
+
     def test_sigma_flag(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         main(["qm-resum", "--g4", "0.1", "--delta=-1.5", "--order", "6",
