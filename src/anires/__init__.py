@@ -58,7 +58,6 @@ from .vpt import (
     OmegaCandidate,
     VptOrderResult,
     optimize_omega,
-    reexpansion_coefficients,
     vpt_energy,
     w_laurent,
 )

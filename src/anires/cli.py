@@ -60,11 +60,12 @@ def _finite(value: Fraction) -> bool:
 _fraction = _arg(Fraction, "a finite exact decimal or fraction", _finite)
 _model_delta = _arg(Fraction, "a finite exact decimal or fraction < 2",
                     lambda v: v < 2 and _finite(v))
-_positive_fraction = _arg(Fraction, "an exact decimal or fraction > 0", lambda v: v > 0)
+_sigma = _arg(Fraction, "an exact decimal or fraction that is a finite positive float",
+              lambda v: 0 < float(v) < math.inf)
 # the commands evaluate at float(g/4) and at g = 4.0 * float(g/4)
 _coupling = _arg(Fraction, "an exact decimal or fraction > 0 whose g/4 and g are finite "
                  "positive floats", lambda v: float(v) > 0 and math.isfinite(4.0 * float(v)))
-_tolerance = _arg(float, "a number > 0", lambda v: v > 0)
+_tolerance = _arg(float, "a finite number > 0", lambda v: 0 < v < math.inf)
 _count = _arg(int, "an integer >= 0", lambda v: v >= 0)
 _crossover_kmax = _arg(int, "an integer >= 16", lambda v: v >= 16)
 _orders = _arg(lambda text: [int(s) for s in text.split(",")], "comma-separated orders >= 0",
@@ -353,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--orders", type=_orders, default="1,3,5,7,9,11",
                            help="comma-separated variational orders k")
         if sigma:
-            p.add_argument("--sigma", type=_positive_fraction, default="3",
+            p.add_argument("--sigma", type=_sigma, default="3",
                            help="large-order growth parameter in g/4 (default 3)")
         if kmax is not None:
             p.add_argument("--kmax", type=_count, default=kmax)
@@ -406,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "fig7", "fig8", "fig9"])
     p.add_argument("--g4", type=_coupling, help="coupling g/4 > 0 (default per figure)")
     common(p)
-    p.add_argument("--sigma", type=_positive_fraction, default=None,
+    p.add_argument("--sigma", type=_sigma, default=None,
                    help="growth parameter override (default 3; 4 for fig8/fig9)")
     p.set_defaults(fn=cmd_figures)
 

@@ -3,19 +3,25 @@ r"""Variational perturbation theory for the anisotropic oscillator energy.
 The Rayleigh-Schroedinger series is reorganized around a trial frequency
 Omega: with rho = 2(omega^2 - Omega^2)/g the reexpansion coefficients are
 
-    eps_l(rho, d) = sum_{j<=l} sum_{n<=j} E_jn (2d)^n
-                    C((1-3j)/2, l-j) (2 rho Omega)^{l-j},
+    eps_l(rho, d) = sum_{j<=l} E_j(d) C((1-3j)/2, l-j) (2 rho Omega)^{l-j},
+    E_j(d) = sum_{n<=j} E_jn (2d)^n,
 
 and the truncated variational energy is the Laurent object
 
-    W_k(g, d, Omega) = Omega sum_{l<=k} eps_l(rho, d) (gbar / Omega^3)^l ,
+    W_k(g, d, Omega) = Omega sum_{l<=k} eps_l(rho, d) (gbar / Omega^3)^l .
 
-built here exactly: with 2 rho Omega = (omega^2 - Omega^2) Omega / gbar the
-term (l, j) contributes to the powers Omega^{1 + (l-j) - 3l + 2s} after
-expanding (omega^2 - Omega^2)^{l-j}, so W_k has integer powers in
-[1-3k, 1] (omega = 1 in reduced units).  Coefficients stay exact rationals
-until evaluation.  Omega^{3k} dW/dOmega is then a polynomial over Q, and every
-one of its positive roots is isolated exactly before it is rounded to a float.
+With 2 rho Omega = (omega^2 - Omega^2) Omega / gbar and x = Omega^-2 it
+regroups by j = l - t (omega = 1 in reduced units):
+
+    W_k = sum_{j<=k} E_j(d) gbar^j Omega^{1-3j} S_{j,k-j}(x),
+    S_{j,T}(x) = sum_{t<=T} C((1-3j)/2, t) (x - 1)^t .
+
+The shape polynomial S_{j,T} depends on neither the table, the coupling nor
+the anisotropy, so its coefficients are cached on (j, T) and one W_k costs
+O(k^2) exact operations.  W_k has integer powers in [1-3k, 1]; coefficients
+stay exact rationals until evaluation.  Omega^{3k} dW/dOmega is then a
+polynomial over Q, and every one of its positive roots is isolated exactly
+before it is rounded to a float.
 
 At finite k the optimum Omega_k is a stationary point of W_k.  For odd k
 minima exist; for even k there is no extremum and turning points
@@ -42,7 +48,6 @@ __all__ = [
     "LaurentInOmega",
     "OmegaCandidate",
     "VptOrderResult",
-    "reexpansion_coefficients",
     "w_laurent",
     "optimize_omega",
     "vpt_energy",
@@ -76,37 +81,15 @@ class LaurentInOmega:
         return sum(abs(float(c)) * omega**p for p, c in self.terms.items())
 
 
-def _energy_slices(table: CoefficientTable, k: int, delta: Exactish) -> List[Fraction]:
-    """E_j(d) = sum_{n<=j} E_jn (2d)^n for j = 0 .. k."""
-    two_d = 2 * Fraction(delta)
-    return [sum((table.entry(j, n) * two_d**n for n in range(j + 1)), Fraction(0))
-            for j in range(k + 1)]
-
-
 @functools.cache
-def _binomial(j: int, t: int) -> Fraction:
-    """C((1-3j)/2, t), which depends on neither the table nor the coupling."""
-    return generalized_binomial(Fraction(1 - 3 * j, 2), t)
-
-
-def _eps_coefficients(slices: List[Fraction], l: int) -> List[Fraction]:
-    """eps_l in powers of (2 rho Omega) from the slices E_j(d), j <= l."""
-    return [_binomial(l - t, t) * slices[l - t] for t in range(l + 1)]
-
-
-def reexpansion_coefficients(
-    table: CoefficientTable, l: int, delta: Exactish
-) -> List[Fraction]:
-    """Coefficients of eps_l as a polynomial in (2 rho Omega).
-
-    Returns ``coeffs`` with ``coeffs[t]`` multiplying (2 rho Omega)^t:
-    coeffs[t] = C((1-3j)/2, t) * sum_{n<=j} E_jn (2d)^n at j = l - t.
-    """
-    if l < 0:
-        raise ValueError("l must be >= 0")
-    if l > table.kmax:
-        raise ValueError(f"l={l} exceeds table kmax={table.kmax}")
-    return _eps_coefficients(_energy_slices(table, l, delta), l)
+def _shape(j: int, T: int) -> Tuple[Fraction, ...]:
+    """Coefficients of S_{j,T}(x) = sum_{t<=T} C((1-3j)/2, t) (x - 1)^t in
+    powers x^u, u = 0 .. T; the key (j, T) is all the value depends on."""
+    if T < 0:
+        return ()
+    low = _shape(j, T - 1) + (0,)
+    c = generalized_binomial(Fraction(1 - 3 * j, 2), T)
+    return tuple(low[u] + c * math.comb(T, u) * (-1) ** (T - u) for u in range(T + 1))
 
 
 def w_laurent(
@@ -115,7 +98,14 @@ def w_laurent(
     g_over_4: Exactish,
     delta: Exactish,
 ) -> LaurentInOmega:
-    """W_k(Omega) as an exact Laurent polynomial, reduced units omega=1."""
+    """W_k(Omega) as an exact Laurent polynomial, reduced units omega=1.
+
+    W_k = sum_{j<=k} E_j(d) gbar^j Omega^{1-3j} S_{j,k-j}(Omega^-2), with
+    E_j(d) by Horner in 2d and the shape polynomials S_{j,T} cached on (j, T):
+    the term x^u of S_{j,k-j} lands on the power 1 - 3j - 2u.  Powers are
+    inserted in the order of the first (j + u, j) that reaches them, as in the
+    sum over eps_l; that is descending unless some E_j(d) vanishes.
+    """
     if k < 0:
         raise ValueError("k must be >= 0")
     if k > table.kmax:
@@ -123,20 +113,22 @@ def w_laurent(
     gbar = Fraction(g_over_4)
     if gbar <= 0:
         raise ValueError("requires g/4 > 0")
-    slices = _energy_slices(table, k, delta)
+    two_d = 2 * Fraction(delta)
+    bases: List[Fraction] = []  # E_j(d) gbar^j by Horner in 2d
+    power = Fraction(1)
+    for j in range(k + 1):
+        e_j = Fraction(0)
+        for n in range(j, -1, -1):
+            e_j = e_j * two_d + table.entry(j, n)
+        bases.append(e_j * power)
+        power *= gbar
+    shapes = [_shape(j, k - j) for j in range(k + 1)]
     terms: Dict[int, Fraction] = {}
     for l in range(k + 1):
-        eps = _eps_coefficients(slices, l)
         for j in range(l + 1):
-            t = l - j
-            if eps[t] == 0:
-                continue
-            base = eps[t] * gbar**j
-            # (1 - Omega^2)^t expanded; power of Omega: 1 + t - 3l + 2s
-            for s in range(t + 1):
-                coeff = base * math.comb(t, s) * (-1) ** s
-                power = 1 + t - 3 * l + 2 * s
-                terms[power] = terms.get(power, Fraction(0)) + coeff
+            if bases[j]:
+                p = 1 - j - 2 * l  # 1 - 3j - 2u with u = l - j
+                terms[p] = terms.get(p, 0) + bases[j] * shapes[j][l - j]
     return LaurentInOmega({p: c for p, c in terms.items() if c != 0})
 
 

@@ -9,6 +9,11 @@ def bw_state():
 
 
 @pytest.fixture(scope="session")
+def bw_state_20():
+    return benderwu_build(20)
+
+
+@pytest.fixture(scope="session")
 def qm_table(bw_state):
     return bw_state.energy
 

@@ -4,14 +4,17 @@ Large-order laws, imaginary parts on the negative-coupling cut and the
 strong-coupling prefactor of the model integral and of the oscillator.  The
 runtime reads only ``LargeOrderParams`` (sigma, b0 offset, alpha); these
 formulas are what the tests check those constants and the exact tables
-against.  Conventions follow ``anires.model`` (Z = sum Z_kn g^k d^n) and
-``anires.qm`` (E = sum E_kn (g/4)^k (2d)^n).
+against.  The variational energy W_k summed term by term over the
+reexpansion coefficients eps_l, as the paper writes it, is what the tests
+check the regrouped ``anires.vpt.w_laurent`` against.  Conventions follow
+``anires.model`` (Z = sum Z_kn g^k d^n) and ``anires.qm``
+(E = sum E_kn (g/4)^k (2d)^n).
 """
 
 import math
 from fractions import Fraction
 
-from anires import SignedLog, z_coeff
+from anires import SignedLog, generalized_binomial, z_coeff
 
 
 def large_order_estimate(params, gamma, k, n, gamma_form=False):
@@ -134,3 +137,44 @@ def qm_imaginary_part(g_abs, delta, n_max):
     """Im E(-|g| + i0, d) = sum_n (-d)^n prefactor_n (4/(3|g|))^{n+1} e^{-4/(3|g|)},
     truncated at d^{n_max} (leading order in g); 4/(3|g|) = 1/(3 |g/4|)."""
     return _cut_sum(qm_im_prefactor, 4.0 / (3.0 * g_abs), 1.0, delta, n_max)
+
+
+# ---------------------------------------------------------------- variational energy
+
+
+def energy_slices(table, k, delta):
+    """E_j(d) = sum_{n<=j} E_jn (2d)^n for j = 0 .. k."""
+    two_d = 2 * Fraction(delta)
+    return [sum((table.entry(j, n) * two_d**n for n in range(j + 1)), Fraction(0))
+            for j in range(k + 1)]
+
+
+def reexpansion_coefficients(table, l, delta):
+    """Coefficients of eps_l as a polynomial in (2 rho Omega): ``coeffs[t]``
+    multiplies (2 rho Omega)^t and is C((1-3j)/2, t) E_j(d) at j = l - t."""
+    if l < 0:
+        raise ValueError("l must be >= 0")
+    if l > table.kmax:
+        raise ValueError(f"l={l} exceeds table kmax={table.kmax}")
+    slices = energy_slices(table, l, delta)
+    return [generalized_binomial(Fraction(1 - 3 * (l - t), 2), t) * slices[l - t]
+            for t in range(l + 1)]
+
+
+def w_laurent_terms(table, k, g_over_4, delta):
+    """{power: coefficient} of W_k(Omega) = Omega sum_{l<=k} eps_l (gbar / Omega^3)^l,
+    omega = 1, with (2 rho Omega)^t = (1 - Omega^2)^t Omega^t / gbar^t expanded
+    term by term over (l, j, s): O(k^3) exact operations, zero terms dropped."""
+    gbar = Fraction(g_over_4)
+    terms = {}
+    for l in range(k + 1):
+        eps = reexpansion_coefficients(table, l, delta)
+        for j in range(l + 1):
+            t = l - j
+            if eps[t] == 0:
+                continue
+            base = eps[t] * gbar**j
+            for s in range(t + 1):
+                power = 1 + t - 3 * l + 2 * s
+                terms[power] = terms.get(power, Fraction(0)) + base * math.comb(t, s) * (-1) ** s
+    return {p: c for p, c in terms.items() if c != 0}

@@ -132,11 +132,6 @@ def test_kmax_zero():
     assert len(state.energy) == 1
 
 
-@pytest.fixture(scope="module")
-def bw_state_20():
-    return benderwu_build(20)
-
-
 def isotropic_energies(kmax):
     """E_k0 from the radial problem of the isotropic oscillator (d = 0).
 

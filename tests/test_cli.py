@@ -267,6 +267,21 @@ class TestFigures:
         assert rows[0] == ["delta", "omega", "W"]
         assert len(rows) > 100
 
+    def test_vpt_outputs_match_recorded_figures(self, tmp_path):
+        # the recorded benchmark references, read and left as they are: fig7 is
+        # W_5 on a grid, fig5's last column W_11 at its optimum
+        ref = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "figures"
+        a, b = tmp_path / "fig7.csv", tmp_path / "fig5.csv"
+        assert main(["figures", "--which", "fig7", "--out", str(a)]) == 0
+        assert a.read_bytes() == (ref / "fig7.csv").read_bytes()
+        assert main(["figures", "--which", "fig5", "--out", str(b)]) == 0
+        rows, expected = read_csv(b), read_csv(ref / "fig5.csv")
+        assert rows[0][-1] == expected[0][-1] == "vpt_baseline"
+        assert len(rows) == len(expected)
+        for row, want in zip(rows[1:], expected[1:]):
+            assert row[0] == want[0]
+            assert float(row[-1]) == pytest.approx(float(want[-1]), rel=1e-14, abs=0), row[0]
+
     def test_fig2b_runs(self, tmp_path, capsys):
         out = tmp_path / "f.csv"
         assert main(["figures", "--which", "fig2b", "--out", str(out)]) == 0
@@ -337,13 +352,21 @@ def test_partial_failure_sets_exit_status(argv, written, failed, tmp_path, monke
     ["qm-resum", "--g4", "0.1", "--delta", "1e400", "--order", "4"],
     ["figures", "--which", "fig5", "--g4", "1e-400"],
     ["model-eval", "--g4", "1e308", "--delta", "0"],
+    ["model-eval", "--g4", "0.25", "--delta", "0", "--tol", "inf"],
+    ["model-eval", "--g4", "0.25", "--delta", "0", "--tol", "1e400"],
+    ["qm-resum", "--g4", "0.1", "--delta", "0", "--order", "4", "--sigma", "1e400"],
+    ["qm-resum", "--g4", "0.1", "--delta", "0", "--order", "4", "--sigma", "1e-400"],
+    ["figures", "--which", "fig5", "--sigma", "1e400"],
+    ["figures", "--which", "fig5", "--sigma", "1e-400"],
     # no such command: qm-coeffs writes the E_kn table
     ["benderwu", "--kmax", "12"],
 ], ids=["g4", "g4-zero-denominator", "g4-zero", "g4-negative", "g4-missing", "delta-missing",
         "delta-and-range", "delta", "range-values", "range-parts", "range-empty",
         "range-step", "tol", "crossover-delta", "crossover-delta-domain", "sigma", "sigma-zero", "figures-sigma",
         "orders", "orders-negative", "kmax-negative", "order-negative", "vpt-baseline",
-        "g4-overflow", "delta-overflow", "g4-underflow", "g-overflow", "benderwu"])
+        "g4-overflow", "delta-overflow", "g4-underflow", "g-overflow", "tol-inf", "tol-overflow",
+        "sigma-overflow", "sigma-underflow", "figures-sigma-overflow", "figures-sigma-underflow",
+        "benderwu"])
 def test_malformed_value_is_usage_error(argv, capsys):
     # a bad, missing or conflicting flag value stops before any work, with usage
     # and status 2

@@ -57,8 +57,6 @@ def test_parses_as_python_3_10(path):
 RUNTIME_CALLER_ALLOWLIST = {
     "basis_series_coefficient": "public handle on the I^p_k recurrence borel._basis_series "
                                 "that reexpansion_check runs; its tests pin it",
-    "reexpansion_coefficients": "public handle on the recurrence vpt._eps_coefficients "
-                                "that w_laurent runs; its tests pin it",
 }
 
 

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import mpmath
@@ -6,13 +7,15 @@ import pytest
 from anires import (
     CoefficientTable,
     LaurentInOmega,
+    generalized_binomial,
     optimize_omega,
-    reexpansion_coefficients,
     vpt_energy,
     w_laurent,
 )
+from anires.vpt import _shape
 
 from fixtures_tables import DIAG_TRUTH, TABLE2, printed_tolerance
+from paper_formulas import reexpansion_coefficients, w_laurent_terms
 
 
 class TestReexpansionCoefficients:
@@ -78,6 +81,49 @@ class TestWLaurent:
         assert w_laurent(t0, 5, Fraction(1, 10), 0).terms == w_laurent(
             t1, 5, Fraction(1, 10), 0
         ).terms
+
+
+class TestRegroupedAssembly:
+    """w_laurent regroups the (l, j, s) sum over eps_l by j; nothing may change."""
+
+    def test_equals_eps_sum_on_grid(self, qm_table):
+        # key order included, since LaurentInOmega.evaluate sums in dict order;
+        # d = 4 is a root of E_1(d) = 2 - d/2
+        cells = [(k, gbar, d) for k in range(13)
+                 for gbar in (Fraction(1, 50), Fraction(1, 10), 1, 2)
+                 for d in (Fraction(-3, 2), Fraction(-3, 5), 0, Fraction(1, 3), 2, 4)]
+        cells.append((11, Fraction(1, 10), Fraction(1, 2)))  # the criterion-02 cell
+        for k, gbar, d in cells:
+            expected = list(w_laurent_terms(qm_table, k, gbar, d).items())
+            assert list(w_laurent(qm_table, k, gbar, d).terms.items()) == expected, (k, gbar, d)
+
+    @pytest.mark.parametrize("d", [Fraction(-3, 5), 0, Fraction(1, 2)])
+    def test_equals_eps_sum_at_k20(self, bw_state_20, d):
+        table = bw_state_20.energy
+        expected = list(w_laurent_terms(table, 20, Fraction(1, 10), d).items())
+        assert list(w_laurent(table, 20, Fraction(1, 10), d).terms.items()) == expected
+
+    def test_vanishing_slice_keeps_insertion_order(self, qm_table):
+        # with E_2 = 0 the power -7 first appears after -8, as in the eps_l sum
+        entries = {kn: (Fraction(0) if kn[0] == 2 else v)
+                   for kn, v in qm_table.items() if kn[0] <= 6}
+        table = CoefficientTable(entries, 6)
+        for k in range(7):
+            expected = list(w_laurent_terms(table, k, Fraction(1, 10), Fraction(1, 2)).items())
+            assert list(w_laurent(table, k, Fraction(1, 10), Fraction(1, 2)).terms.items()) \
+                == expected, k
+        keys = list(w_laurent(table, 4, Fraction(1, 10), Fraction(1, 2)).terms)
+        assert keys.index(-8) < keys.index(-7)
+
+    def test_shape_polynomials(self):
+        # S_{j,T}(x) = sum_t C((1-3j)/2, t) (x - 1)^t, coefficient of x^s
+        for j in range(13):
+            for T in range(13 - j):
+                a = Fraction(1 - 3 * j, 2)
+                assert _shape(j, T) == tuple(
+                    sum(generalized_binomial(a, t) * math.comb(t, s) * (-1) ** (t - s)
+                        for t in range(s, T + 1))
+                    for s in range(T + 1)), (j, T)
 
 
 class TestOptimizeOmega:
