@@ -114,14 +114,14 @@ def w_laurent(
     if gbar <= 0:
         raise ValueError("requires g/4 > 0")
     two_d = 2 * Fraction(delta)
-    bases: List[Fraction] = []  # E_j(d) gbar^j by Horner in 2d
-    power = Fraction(1)
+    bases: List[Fraction] = []  # E_j(d) gbar^j
+    gbar_j = Fraction(1)
     for j in range(k + 1):
         e_j = Fraction(0)
         for n in range(j, -1, -1):
             e_j = e_j * two_d + table.entry(j, n)
-        bases.append(e_j * power)
-        power *= gbar
+        bases.append(e_j * gbar_j)
+        gbar_j *= gbar
     shapes = [_shape(j, k - j) for j in range(k + 1)]
     terms: Dict[int, Fraction] = {}
     for l in range(k + 1):
