@@ -29,12 +29,15 @@ w = (sqrt(1+sigma g t)-1)/(sqrt(1+sigma g t)+1):
 
 which the double-exponential quadrature handles without manual splitting; the
 (1-w)^{-...} endpoint growth is dominated by the essential decay of the
-exponential.  At fixed g the integrands of all basis functions differ only by
-powers of w and (1-w) and a constant, so they are integrated together, on one
-node set (:func:`basis_integrals`).  For sigma*g below 1e-3 the integrand
-support collapses below quadrature resolution and the optimally truncated
-power series of I_p is used instead (its minimal term is ~exp(-1/(sigma g)),
-far below any tolerance the quadrature could deliver there).
+exponential.  The integral is linear, so a weighted sum sum_i c_i I_{p0+i}
+is one integral, whose integrand carries the polynomial sum_i c_i w^i.  At
+fixed g these integrands differ only by powers of w and (1-w), a constant and
+that polynomial, so the per-column sums sum_p a_pn I_pn of one coupling are
+integrated together, on one node set (:func:`basis_integrals`).  For sigma*g
+below 1e-3 the integrand support collapses below quadrature resolution and
+the optimally truncated power series of I_p is used instead (its minimal term
+is ~exp(-1/(sigma g)), far below any tolerance the quadrature could deliver
+there).
 
 Double series: the anisotropic generalization resums the g-series of each
 anisotropy power separately, with n-dependent Borel parameter b0(n).  The
@@ -49,8 +52,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, count, islice, repeat
-from operator import mul
+from itertools import count, islice
 from typing import Dict, Iterator, List, Sequence, Tuple, Union
 
 from .quadrature import DEFAULT_SPEC, QuadratureSpec, integrate_unit, integrate_semiline
@@ -196,20 +198,22 @@ def _basis_series_value(p: int, b0: float, alpha: float, sigma: float, g: float)
 def basis_integrals(
     sigma: Fraction,
     alpha: Fraction,
-    columns: Sequence[Tuple[Fraction, Sequence[int]]],
+    columns: Sequence[Tuple[Fraction, int, Sequence[float]]],
     g: float,
     quad: QuadratureSpec = DEFAULT_SPEC,
-) -> List[List[float]]:
-    """I_p(g) for every p of every column ``(b0, ps)``, from one w-form quadrature.
+) -> List[float]:
+    """Weighted sums ``sum_i weights[i] I_{p0+i}(g)`` of every column
+    ``(b0, p0, weights)``, from one w-form quadrature.
 
-    Each ``ps`` is nonempty and ascending; the result holds one list of values
-    per column, in the order given.  All integrands are integrated on one
-    node set: per node the factor common to all of them is formed once in
-    logs (relative to the first column's b0), each column takes one exp, and
-    the powers of w for its higher p follow by a running product.  A
-    refinement level is accepted only when every integral meets the
-    tolerance.  For sigma*g below SMALL_SIGMA_G each value is its truncated
-    power series instead.
+    The result holds one float per column, in the order given.  The Borel
+    integral is linear, so each column is one integrand, w^{b0+p0} times the
+    polynomial ``sum_i weights[i] w^i`` times the factor all its p share.  All
+    columns are integrated on one node set: per node the factor common to all
+    of them is formed once in logs (relative to the first column's b0), each
+    column takes one exp and one Horner pass over its weights.  A refinement
+    level is accepted only when every column sum meets the tolerance.  For
+    sigma*g below SMALL_SIGMA_G each sum is formed from the truncated power
+    series of its I_p instead, in ascending p, skipping zero weights.
     """
     if not g > 0:
         raise ValueError(f"requires g > 0, got {g}")
@@ -218,10 +222,16 @@ def basis_integrals(
     sigma, alpha = float(sigma), float(alpha)
     sg = sigma * g
     if sg < SMALL_SIGMA_G:
-        return [[_basis_series_value(p, float(b0), alpha, sigma, g) for p in ps]
-                for b0, ps in columns]
-    # per column: log offset, coefficients of log w and log(1-w), and the steps
-    # in p above the column's lowest p (None when every step is 1)
+        sums = []
+        for b0, p0, weights in columns:
+            total = 0.0
+            for p, weight in enumerate(weights, p0):
+                if weight:
+                    total += weight * _basis_series_value(p, float(b0), alpha, sigma, g)
+            sums.append(total)
+        return sums
+    # per column: log offset, coefficients of log w and log(1-w), and the
+    # weights from the highest power of w down, as Horner takes them
     terms = []
     b0_base = float(columns[0][0])
     ln_4_over_sg = math.log(4.0 / sg)
@@ -230,11 +240,10 @@ def basis_integrals(
         return (b0 + 1.0) * ln_4_over_sg - math.lgamma(b0 + 1.0)
 
     ln_pref_base = ln_pref(b0_base)
-    for b0, ps in columns:
+    for b0, p0, weights in columns:
         db = float(b0) - b0_base
-        steps = [b - a for a, b in zip(ps, ps[1:])]
-        terms.append((ln_pref(float(b0)) - ln_pref_base, db + ps[0], 2.0 * db,
-                      len(steps), None if set(steps) <= {1} else steps))
+        terms.append((ln_pref(float(b0)) - ln_pref_base, db + p0, 2.0 * db,
+                      weights[-1], weights[-2::-1]))
     edge_base = 2.0 * b0_base + 2.0 * alpha + 3.0
     log, log1p, exp = math.log, math.log1p, math.exp
 
@@ -245,15 +254,15 @@ def basis_integrals(
         common = (ln_pref_base + log1p(w) + b0_base * ln_w - edge_base * ln_1m
                   - 4.0 * w / (one_m * one_m * sg))
         out: List[float] = []
-        for offset, c_w, c_1m, count, steps in terms:
+        for offset, c_w, c_1m, top, lower in terms:
+            poly = top
+            for weight in lower:
+                poly = poly * w + weight
             # exp underflows to 0.0 below about -745, as the tails need
-            v = exp(common + offset + c_w * ln_w - c_1m * ln_1m)
-            factors = repeat(w, count) if steps is None else map(pow, repeat(w), steps)
-            out.extend(accumulate(factors, mul, initial=v))
+            out.append(exp(common + offset + c_w * ln_w - c_1m * ln_1m) * poly)
         return out
 
-    values = iter(integrate_unit(integrand, quad).value)
-    return [list(islice(values, len(ps))) for _, ps in columns]
+    return integrate_unit(integrand, quad).value
 
 
 def basis_integral(
@@ -261,7 +270,7 @@ def basis_integral(
 ) -> float:
     """I_p(g) for g > 0, via the w-form integral (or the truncated series
     in the small-coupling regime sigma*g < 1e-3)."""
-    return basis_integrals(spec.sigma, spec.alpha, [(spec.b0, [spec.p])], g, quad)[0][0]
+    return basis_integrals(spec.sigma, spec.alpha, [(spec.b0, spec.p, [1.0])], g, quad)[0]
 
 
 def basis_integral_tform(
@@ -298,29 +307,46 @@ class ResummedApproximant:
     """Order-N reexpansion of a triangular double series.
 
     ``a[(p, n)]`` holds the exact coefficients, n <= p <= N.  ``resum``
-    evaluates ``sum_n (sum_p a_pn I_pn(g)) y^n`` where y is the anisotropy
-    variable the input table is written in.  The I_pn with a_pn != 0 are
-    computed together by :func:`basis_integrals`, one column per n, and the
-    vector of the latest (g, quadrature spec) is kept: callers evaluate every
-    anisotropy at one coupling in a row, and a memo of every coupling seen
-    would grow without bound over a scan.
+    evaluates ``sum_n S_n(g) y^n`` where S_n = sum_p a_pn I_pn is the Borel
+    sum of column n and y is the anisotropy variable the input table is
+    written in.  Every S_n is computed by :func:`basis_integrals`, one
+    weighted column per n, and the sums of the latest (g, quadrature spec)
+    are kept: callers evaluate every anisotropy at one coupling in a row, and
+    a memo of every coupling seen would grow without bound over a scan.
+
+    Construction raises ValueError when a nonzero a_pn has no finite nonzero
+    float (a growth constant sigma far from the series' own), since the
+    float sums would then drop or overflow that term.
     """
 
     N: int
     a: Dict[Tuple[int, int], Fraction]
     params: LargeOrderParams
     input_table: CoefficientTable
-    _cache: Dict[Tuple[float, QuadratureSpec], List[List[float]]] = field(
+    _cache: Dict[Tuple[float, QuadratureSpec], List[float]] = field(
         default_factory=dict, repr=False)
-    # per n with a nonzero a_pn: n, those p in ascending order, and their a_pn as floats
-    _columns: List[Tuple[int, List[int], List[float]]] = field(init=False, repr=False)
+    # per n with a nonzero a_pn: n, the lowest such p, and the a_pn as floats from
+    # that p up to the highest such p (zero a_pn in between as 0.0)
+    _columns: List[Tuple[int, int, List[float]]] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self._columns = []
         for n in range(self.N + 1):
             ps = [p for p in range(n, self.N + 1) if self.a[(p, n)] != 0]
             if ps:
-                self._columns.append((n, ps, [float(self.a[(p, n)]) for p in ps]))
+                self._columns.append(
+                    (n, ps[0], [self._float(p, n) for p in range(ps[0], ps[-1] + 1)]))
+
+    def _float(self, p: int, n: int) -> float:
+        value = self.a[(p, n)]
+        try:
+            out = float(value)
+        except OverflowError:
+            out = math.inf
+        if value and not 0.0 < abs(out) < math.inf:
+            raise ValueError(f"a_pn at (p, n) = ({p}, {n}) has no finite nonzero float "
+                             f"(sigma = {float(self.params.sigma)!r})")
+        return out
 
     def basis_spec(self, p: int, n: int) -> BorelBasisSpec:
         return BorelBasisSpec(
@@ -330,35 +356,30 @@ class ResummedApproximant:
             sigma=Fraction(self.params.sigma),
         )
 
-    def basis_values(self, g: float, quad: QuadratureSpec = DEFAULT_SPEC) -> List[List[float]]:
-        """I_pn(g) for every nonzero a_pn, one list per column of ``_columns``;
-        the latest (g, quad) is memoized."""
+    def basis_values(self, g: float, quad: QuadratureSpec = DEFAULT_SPEC) -> List[float]:
+        """The column sums S_n(g), one per column of ``_columns``; the latest
+        (g, quad) is memoized."""
         key = (g, quad)
         values = self._cache.get(key)
         if values is None:
             params = self.params
             values = basis_integrals(
                 params.sigma, params.alpha,
-                [(n + params.b0_offset, ps) for n, ps, _ in self._columns], g, quad)
+                [(n + params.b0_offset, p0, weights) for n, p0, weights in self._columns],
+                g, quad)
             self._cache = {key: values}
         return values
 
     def basis_value(self, p: int, n: int, g: float, quad: QuadratureSpec = DEFAULT_SPEC) -> float:
-        """I_pn(g); from the memoized vector when a_pn != 0."""
-        for i, (m, ps, _) in enumerate(self._columns):
-            if m == n and p in ps:
-                return self.basis_values(g, quad)[i][ps.index(p)]
+        """I_pn(g) alone; ``resum`` does not read it."""
         return basis_integral(self.basis_spec(p, n), g, quad)
 
     def resum(self, g: float, y: float, quad: QuadratureSpec = DEFAULT_SPEC) -> float:
         if not g > 0:
             raise ValueError(f"requires g > 0, got {g}")
         total = 0.0
-        for (n, _, coeffs), values in zip(self._columns, self.basis_values(g, quad)):
-            inner = 0.0
-            for coeff, value in zip(coeffs, values):
-                inner += coeff * value
-            total += inner * y**n
+        for (n, _, _), value in zip(self._columns, self.basis_values(g, quad)):
+            total += value * y**n
         return total
 
 

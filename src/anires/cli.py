@@ -14,7 +14,9 @@ A malformed flag value (including a --g4 that is not positive, a --g4 or
 missing required flag (--g4, and one of --delta and --delta-range, where a
 command takes them), conflicting flags (--delta together with --delta-range)
 and a figures flag that the chosen figure does not read are usage errors
-(status 2) before any work starts.
+(status 2) before any work starts.  A --sigma that leaves a nonzero a_pn
+without a finite nonzero float is a usage error too, found when the
+approximant is built and before any row is written.
 """
 
 from __future__ import annotations
@@ -70,6 +72,15 @@ _count = _arg(int, "an integer >= 0", lambda v: v >= 0)
 _crossover_kmax = _arg(int, "an integer >= 16", lambda v: v >= 16)
 _orders = _arg(lambda text: [int(s) for s in text.split(",")], "comma-separated orders >= 0",
                lambda ks: min(ks) >= 0)
+
+
+def _qm_approximants(energy: CoefficientTable, orders: Sequence[int], sigma: Fraction) -> list:
+    """``qm.qm_approximant`` at each order; a sigma whose a_pn floats cannot
+    hold is a usage error, raised before any row is written."""
+    try:
+        return [qm.qm_approximant(energy, N, sigma) for N in orders]
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"argument --sigma: {exc}") from None
 
 
 def _quad_spec(tol: Optional[float]) -> QuadratureSpec:
@@ -242,7 +253,7 @@ def cmd_qm_resum(args) -> int:
     N = args.order
     points = [{"delta": d} for d in _delta_grid(args)]
     state = benderwu.build(max(N, args.vpt_baseline or 0))
-    approx = qm.qm_approximant(state.energy, N, args.sigma)
+    approx, = _qm_approximants(state.energy, [N], args.sigma)
     _dump_approximant(args, approx)
 
     def one(delta):
@@ -299,7 +310,7 @@ def cmd_figures(args) -> int:
         gbar = args.g4 or Fraction(gbar_default)
         orders = (2, 4, 6) if which in ("fig8", "fig9") else (2, 4, 6, 8)
         state = benderwu.build(12)
-        approxes = [qm.qm_approximant(state.energy, N, sigma) for N in orders]
+        approxes = _qm_approximants(state.energy, orders, sigma)
 
         def qm_row(delta):
             return (float(delta),
@@ -425,6 +436,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         status = args.fn(args)
         sys.stdout.flush()
+    except argparse.ArgumentTypeError as exc:
+        parser.error(str(exc))
     except BrokenPipeError:
         # The reader closed stdout early (`anires ... | head`).  Point stdout at
         # devnull so the flush at exit cannot raise again (Python docs, "Note on

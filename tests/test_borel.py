@@ -23,7 +23,8 @@ from anires import (
     z_coeff,
     z_reference,
 )
-from anires.borel import ResummedApproximant, pochhammer
+from anires import borel
+from anires.borel import SMALL_SIGMA_G, ResummedApproximant, pochhammer
 from anires.model import MODEL_ALPHA
 from anires.qm import QM_ALPHA
 from anires.quadrature import DEFAULT_SPEC
@@ -288,30 +289,106 @@ class TestApproximant:
 
 class TestSharedNodeBasis:
     def test_vector_matches_scalar(self):
-        # several columns, not in b0 order, gaps in p within a column, and the
-        # column order kept; columns are (b0, ps) with b0 = n + 1
-        columns = [(Fraction(3), [2, 5]), (Fraction(1), [0, 3]), (Fraction(8), [7])]
+        # several columns, not in b0 order, zero weights (gaps in p) within a
+        # column, and the column order kept; columns are (b0, p0, weights) with
+        # b0 = n + 1, and each sum is sum_i weights[i] I_{p0+i}
+        columns = [(Fraction(3), 2, [0.75, 0.0, 0.0, 1.5]),
+                   (Fraction(1), 0, [2.0, 0.0, 0.0, -0.5]),
+                   (Fraction(8), 7, [1.0])]
         for g in (0.05, 1.0, 20.0):
             got = basis_integrals(Fraction(4), Fraction(-1, 2), columns, g, TIGHT)
-            assert [len(values) for values in got] == [2, 2, 1]
-            for (b0, ps), values in zip(columns, got):
-                for p, value in zip(ps, values):
-                    want = basis_integral_tform(model_spec(p, b0 - 1), g, TIGHT)
-                    assert value == pytest.approx(want, rel=1e-10)
+            assert len(got) == 3
+            for (b0, p0, weights), value in zip(columns, got):
+                want = sum(weight * basis_integral_tform(model_spec(p, b0 - 1), g, TIGHT)
+                           for p, weight in enumerate(weights, p0) if weight)
+                assert value == pytest.approx(want, rel=1e-10), (b0, g)
 
     def test_small_coupling_series_branch(self):
-        columns = [(Fraction(1), [0]), (Fraction(2), [1])]
-        assert basis_integrals(Fraction(4), Fraction(-1, 2), columns, 1e-5, TIGHT) == [
-            [basis_integral(model_spec(0, 0), 1e-5, TIGHT)],
-            [basis_integral(model_spec(1, 1), 1e-5, TIGHT)],
+        # below SMALL_SIGMA_G each sum adds the lone series values in ascending p
+        columns = [(Fraction(1), 0, [0.5, 0.0, 2.0]), (Fraction(2), 1, [1.0])]
+        g = 1e-5
+        lone = [basis_integral(model_spec(p, n), g, TIGHT) for p, n in ((0, 0), (2, 0), (1, 1))]
+        assert basis_integrals(Fraction(4), Fraction(-1, 2), columns, g, TIGHT) == [
+            0.0 + 0.5 * lone[0] + 2.0 * lone[1],
+            0.0 + 1.0 * lone[2],
         ]
 
     def test_basis_value_accessor(self, model_approx_12):
-        # a nonzero a_pn reads the memoized vector; a zero one is computed alone
+        # a lone I_pn, off the resum path, for a nonzero and for a zero a_pn alike
         g = 0.8
         for p, n in ((3, 3), (5, 2)):
             want = basis_integral_tform(model_approx_12.basis_spec(p, n), g)
             assert model_approx_12.basis_value(p, n, g) == pytest.approx(want, rel=1e-10)
+
+
+@pytest.fixture(scope="module")
+def approximants_12(qm_table, model_approx_12):
+    return {"qm-sigma3": qm_approximant(qm_table, 12, 3),
+            "qm-sigma4": qm_approximant(qm_table, 12, 4),
+            "model": model_approx_12}
+
+
+def tform_recombination(approx, g, ys):
+    """sum_pn float(a_pn) I_pn(g) y^n for each y, every I_pn from the t-form."""
+    tform = {key: basis_integral_tform(approx.basis_spec(*key), g)
+             for key, coeff in approx.a.items() if coeff}
+    return [sum(float(approx.a[key]) * value * y ** key[1] for key, value in tform.items())
+            for y in ys]
+
+
+def per_basis_resum(approx, g, y):
+    """resum as a sum over the I_pn with a_pn != 0, each computed alone."""
+    total = 0.0
+    for n in range(approx.N + 1):
+        inner = 0.0
+        for p in range(n, approx.N + 1):
+            if approx.a[(p, n)]:
+                inner += float(approx.a[(p, n)]) * basis_integral(approx.basis_spec(p, n), g)
+        total += inner * y**n
+    return total
+
+
+class TestColumnSums:
+    YS = (-2.0, 1.0, 3.0)
+
+    @pytest.mark.parametrize("case", ["qm-sigma3", "qm-sigma4", "model"])
+    def test_resum_matches_tform_recombination(self, approximants_12, case):
+        # a log grid from just below the series switch up to g = 5
+        approx = approximants_12[case]
+        low = 0.9 * SMALL_SIGMA_G / float(approx.params.sigma)
+        for i in range(8):
+            g = low * (5.0 / low) ** (i / 7)
+            got = [approx.resum(g, y) for y in self.YS]
+            assert got == pytest.approx(tform_recombination(approx, g, self.YS), rel=1e-10), g
+
+    @pytest.mark.parametrize("case", ["qm-sigma3", "qm-sigma4", "model"])
+    def test_series_branch_equals_per_basis_sum(self, approximants_12, case):
+        approx = approximants_12[case]
+        for g in (1e-7, 0.5 * SMALL_SIGMA_G / float(approx.params.sigma)):
+            for y in self.YS:
+                assert approx.resum(g, y) == per_basis_resum(approx, g, y)
+
+    def test_one_quadrature_per_coupling(self, qm_table, monkeypatch):
+        # one fresh coupling integrates every column sum in one call, and a scan
+        # over y at the same coupling and spec reuses it
+        integrate_unit = borel.integrate_unit
+        widths = []
+
+        def counted(f, quad):
+            widths.append(len(f(0.5)))
+            return integrate_unit(f, quad)
+
+        monkeypatch.setattr(borel, "integrate_unit", counted)
+        approx = qm_approximant(qm_table, 12)
+        assert len(approx._columns) == 13
+        for y in (-2.0, -0.5, 0.0, 1.0, 3.0):
+            approx.resum(0.2, y)
+        assert widths == [13]
+
+    @pytest.mark.parametrize("sigma", [Fraction(1, 10**300), Fraction(10**300)])
+    def test_coefficient_without_float_is_rejected(self, qm_table, sigma):
+        with pytest.raises(ValueError, match=r"\(p, n\) = \(\d+, \d+\)"):
+            qm_approximant(qm_table, 4, sigma)
 
 
 # Couplings at which a lone default-spec basis integral once accepted h = 1/2

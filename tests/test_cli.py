@@ -373,6 +373,21 @@ def test_malformed_value_is_usage_error(argv, capsys):
     usage_error(argv, capsys)
 
 
+@pytest.mark.parametrize("sigma", ["1e-300", "1e300"])
+@pytest.mark.parametrize("command", [
+    ["qm-resum", "--g4", "0.1", "--delta", "0", "--order", "4"],
+    ["figures", "--which", "fig5"],
+], ids=["qm-resum", "figures"])
+def test_sigma_leaving_no_float_coefficient_is_usage_error(command, sigma, tmp_path, capsys):
+    # the value is a finite positive float, but some a_pn then has none: one
+    # error line naming it, status 2, and no rows written
+    out = tmp_path / "out.csv"
+    err = usage_error(command + ["--sigma", sigma, "--out", str(out)], capsys)
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "argument --sigma: a_pn at (p, n) = (" in errors[0]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("which, flags", [
     (fig, flags) for fig in ("fig1", "fig2a", "fig2b")
     for flags in (["--g4", "5"], ["--g4", "5", "--sigma", "9"], ["--sigma", "9"],

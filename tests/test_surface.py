@@ -79,3 +79,23 @@ def test_public_names_have_a_runtime_caller():
     unused = sorted(name for name in exported
                     if name not in used and re.search(rf"\b{name}\b", bench) is None)
     assert unused == sorted(RUNTIME_CALLER_ALLOWLIST)
+
+
+def test_benchmark_trace_targets_resolve():
+    # perfbench/tracing.py wraps these names from outside; a rename in anires must
+    # fail here, not in `run.py --trace 1`.  Class members resolve through the
+    # class __dict__, as Tracer.install reads them.
+    tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text())
+    targets = next(ast.literal_eval(node.value) for node in tree.body
+                   if isinstance(node, ast.Assign)
+                   and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["TARGETS"])
+    assert targets
+    missing = []
+    for module, path, _, _ in targets:
+        owner = importlib.import_module(f"anires.{module}")
+        *cls_path, attr = path.split(".")
+        for part in cls_path:
+            owner = getattr(owner, part, None)
+        if attr not in getattr(owner, "__dict__", {}):
+            missing.append(f"{module}:{path}")
+    assert missing == []
