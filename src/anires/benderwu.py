@@ -33,7 +33,8 @@ l = k terms multiply A^{0,n-m}_{ij} = 0 for i+j >= 1 and are skipped.  The
 block is then filled with the total degree s = i+j descending from 2k to 1,
 each entry carried over Q T_s with T_s = prod_{t=s}^{2k} 2t, so the loop
 does no gcd; one gcd over the whole block reduces it at the end.  The
-result A is a dict of reduced Fractions.
+result A is a read-only mapping over these blocks: A[(i, j, k, n)] forms the
+reduced Fraction N[i][j] / D_kn only when it is read.
 
 Checks: the x <-> y symmetry N[i][j] == N[j][i] of the potential is
 asserted over every whole block.  The i=j=0 equation has a vanishing left
@@ -46,20 +47,56 @@ the isotropic radial recursion in the tests.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
 from .series import CoefficientTable
 
 __all__ = ["BwState", "build"]
 
 
+class _Wavefunction(Mapping):
+    """A[(i, j, k, n)] = N[i][j] / D_kn over the integer blocks of build.
+
+    Only nonzero entries are keys, in the order the blocks were filled and
+    row by row; a zero, out-of-support or negative index raises KeyError.
+    """
+
+    __slots__ = ("_blocks", "_len")
+
+    def __init__(self, blocks: Dict[Tuple[int, int], Tuple[List[List[int]], int]]):
+        self._blocks = blocks
+        self._len = None
+
+    def __getitem__(self, key):
+        i, j, k, n = key
+        rows, D = self._blocks.get((k, n), ((), 1))
+        if 0 <= i < len(rows) and 0 <= j < len(rows[i]) and rows[i][j]:
+            return Fraction(rows[i][j], D)
+        raise KeyError(key)
+
+    def __iter__(self):
+        return ((i, j, k, n) for (k, n), (rows, _) in self._blocks.items()
+                for i, row in enumerate(rows) for j, x in enumerate(row) if x)
+
+    def __len__(self):
+        if self._len is None:  # counted on first use
+            self._len = sum(1 for _ in self)
+        return self._len
+
+
 @dataclass(frozen=True)
 class BwState:
-    """Filled recursion state: wave-function coefficients and energies."""
+    """Filled recursion state: wave-function coefficients and energies.
 
-    A: Dict[Tuple[int, int, int, int], Fraction]  # (i, j, k, n) -> value
+    A maps (i, j, k, n) to the reduced Fraction A^{kn}_{ij} for every nonzero
+    coefficient.  It is a read-only Mapping, not a dict: each value is formed
+    from the recursion's integer blocks when it is read.
+    """
+
+    A: Mapping[Tuple[int, int, int, int], Fraction]
     energy: CoefficientTable  # (k, n) -> E_kn
 
 
@@ -116,9 +153,4 @@ def build(kmax: int) -> BwState:
             assert residual == 0, f"i=j=0 identity violated at (k,n)=({k},{n})"
             blocks[k, n] = N, D
             energies[k, n] = -((-1) ** k) * e_kn
-    A = {}
-    for k, n in list(blocks):  # each block is dropped once it is converted
-        rows, D = blocks.pop((k, n))
-        A.update(((i, j, k, n), Fraction(x, D)) for i, row in enumerate(rows)
-                 for j, x in enumerate(row) if x)
-    return BwState(A=A, energy=CoefficientTable(energies, kmax))
+    return BwState(A=_Wavefunction(blocks), energy=CoefficientTable(energies, kmax))

@@ -309,7 +309,7 @@ def cmd_figures(args) -> int:
         sigma = args.sigma or Fraction(3 if which in ("fig5", "fig6") else 4)
         gbar = args.g4 or Fraction(gbar_default)
         orders = (2, 4, 6) if which in ("fig8", "fig9") else (2, 4, 6, 8)
-        state = benderwu.build(12)
+        state = benderwu.build(11)  # VPT at k = 11 is the highest order read
         approxes = _qm_approximants(state.energy, orders, sigma)
 
         def qm_row(delta):

@@ -193,8 +193,10 @@ def _positive_roots(fn: LaurentInOmega) -> List[float]:
     terms = {p: c for p, c in fn.terms.items() if c}
     if not terms:
         return []
-    den = math.lcm(*(c.denominator for c in terms.values()))
-    P = [int(terms.get(p, 0) * den) for p in range(min(terms), max(terms) + 1)]
+    den, low = math.lcm(*(c.denominator for c in terms.values())), min(terms)
+    P = [0] * (max(terms) - low + 1)
+    for p, c in terms.items():
+        P[p - low] = c.numerator * (den // c.denominator)
     n, lead = len(P) - 1, P[-1].bit_length()
     # 2^m >= 2 max_i |P_i / P_n|^(1 / (n - i)) bounds every |root|
     m = max([0] + [1 - (lead - c.bit_length() - 1) // (n - i) for i, c in enumerate(P[:-1]) if c])

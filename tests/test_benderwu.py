@@ -1,6 +1,9 @@
 import hashlib
+import importlib.util
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -179,3 +182,58 @@ def test_kmax20_table_pinned(bw_state_20):
     assert hashlib.sha256(lines.encode()).hexdigest() == (
         "b46dcc490d3c4b870d84b08d08d0fbe8f7ed06d6b8f7e0baafa91cd69d515038")
     assert len(bw_state_20.A) == 85471
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def wavefunction_digest(A):
+    # the benchmark's digest of A, loaded from its file (perfbench is no package)
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  PERFBENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.wavefunction_digest(A)
+
+
+class TestWavefunctionView:
+    # A is a read-only Mapping over the integer blocks; each value is formed when read
+
+    @pytest.mark.parametrize("K", [12, 13])
+    def test_digest_matches_benchmark_reference(self, bw_state, K):
+        # the benderwu.A:K references, recorded from the eager Fraction dict and
+        # read here as they are
+        refs = json.loads((PERFBENCH / "reference" / "exact.json").read_text())
+        state = bw_state if K == 12 else benderwu_build(K)
+        assert wavefunction_digest(state.A) == refs[f"benderwu.A:{K}"]
+
+    def test_size_and_ground_entry(self, bw_state):
+        A = bw_state.A
+        assert len(A) == len(list(A)) == 12923
+        assert A[(0, 0, 0, 0)] == 1
+
+    @pytest.mark.parametrize("key", [
+        (0, 0, 1, 0),  # A^{kn}_00 = 0 off (0, 0): stored, but zero
+        (6, 0, 3, 1), (0, 6, 3, 1),  # i or j past 2k - n = 5
+        (3, 3, 2, 0),  # i + j past 2k
+        (-1, 0, 3, 1), (0, -1, 3, 1), (0, 0, -1, 0),  # negative indices
+        (0, 0, 1, 2), (0, 0, 13, 0),  # k < n, k past kmax
+    ])
+    def test_missing_keys_raise(self, bw_state, key):
+        A = bw_state.A
+        with pytest.raises(KeyError):
+            A[key]
+        assert key not in A and A.get(key) is None
+
+    def test_read_only(self, bw_state):
+        A = bw_state.A
+        with pytest.raises(TypeError):
+            A[(0, 0, 0, 0)] = Fraction(2)
+        with pytest.raises(TypeError):
+            del A[(0, 0, 0, 0)]
+        assert A[(0, 0, 0, 0)] == 1
+
+    def test_xy_symmetry(self, bw_state):
+        A = bw_state.A
+        for i, j, k, n in A:
+            assert A[(i, j, k, n)] == A[(j, i, k, n)], (i, j, k, n)

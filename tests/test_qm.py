@@ -6,11 +6,13 @@ import pytest
 from anires import (
     CoefficientTable,
     QuadratureSpec,
+    benderwu_build,
     integrate_unit,
     qm_approximant,
     qm_large_order_params,
     reexpansion_check,
     vpt_energy,
+    w_laurent,
 )
 from paper_formulas import (
     beta_symmetric_half,
@@ -162,6 +164,19 @@ class TestResummation:
         err3 = abs(qm_approximant(qm_table, 6, sigma=3).resum(0.1, 2 * -1.5, TIGHT) - ref)
         err4 = abs(qm_approximant(qm_table, 6, sigma=4).resum(0.1, 2 * -1.5, TIGHT) - ref)
         assert err4 < err3
+
+    def test_order_11_table_gives_the_figure_inputs(self, qm_table):
+        # figures --which fig5|fig6|fig8|fig9 build the table to order 11: the
+        # triangles (N <= 8) and W_11 read nothing of order 12
+        e11 = benderwu_build(11).energy
+        for sigma in (3, 4):
+            for N in (2, 4, 6, 8):
+                got, want = qm_approximant(e11, N, sigma).a, qm_approximant(qm_table, N, sigma).a
+                assert list(got.items()) == list(want.items()), (sigma, N)
+        for gbar in (Fraction(1, 10), Fraction(1)):
+            for d in (Fraction(-3, 2), Fraction(0), Fraction(1, 2), Fraction(2)):
+                got, want = w_laurent(e11, 11, gbar, d), w_laurent(qm_table, 11, gbar, d)
+                assert list(got.terms.items()) == list(want.terms.items()), (gbar, d)
 
     def test_params_validation(self, qm_table):
         with pytest.raises(ValueError):
