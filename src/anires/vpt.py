@@ -21,7 +21,11 @@ the anisotropy, so its coefficients are cached on (j, T) and one W_k costs
 O(k^2) exact operations.  W_k has integer powers in [1-3k, 1]; coefficients
 stay exact rationals until evaluation.  Omega^{3k} dW/dOmega is then a
 polynomial over Q, and every one of its positive roots is isolated exactly
-before it is rounded to a float.
+before it is rounded to a float: Descartes' rule on integer Bernstein
+coefficients, split by de Casteljau halving, isolates them (Rouillier &
+Zimmermann, J. Comput. Appl. Math. 162 (2004) 33), and a float Newton guess
+whose 2^-40 cell is certified by exact signs places each one, with exact
+bisection wherever the guess does not certify.
 
 At finite k the optimum Omega_k is a stationary point of W_k.  For odd k
 minima exist; for even k there is no extremum and turning points
@@ -37,9 +41,10 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from .series import CoefficientTable
 from .specfun import generalized_binomial
@@ -63,10 +68,15 @@ class LaurentInOmega:
 
     terms: Dict[int, Fraction]
 
+    @functools.cached_property
+    def _float_terms(self) -> Tuple[Tuple[int, float], ...]:
+        # terms is never changed after construction, so it is converted once
+        return tuple((p, float(c)) for p, c in self.terms.items())
+
     def evaluate(self, omega: float) -> float:
         if omega <= 0:
             raise ValueError("requires Omega > 0")
-        return sum(float(c) * omega**p for p, c in self.terms.items())
+        return sum(c * omega**p for p, c in self._float_terms)
 
     def evaluate_exact(self, omega: Fraction) -> Fraction:
         if omega <= 0:
@@ -78,7 +88,7 @@ class LaurentInOmega:
 
     def scale(self, omega: float) -> float:
         """Sum of term magnitudes at omega: the natural cancellation scale."""
-        return sum(abs(float(c)) * omega**p for p, c in self.terms.items())
+        return sum(abs(c) * omega**p for p, c in self._float_terms)
 
 
 @functools.cache
@@ -178,17 +188,145 @@ def _sign_at(a: List[int], u: int, e: int) -> int:
     return (h > 0) - (h < 0)
 
 
+def _bernstein(a: List[int]) -> List[int]:
+    """Bernstein coefficients b_i of a on (0, 1), times one positive integer.
+
+    The coefficient of x^(n-i) in (x + 1)^n a(1 / (x + 1)) is C(n, i) b_i.
+    """
+    n = len(a) - 1
+    scaled = _taylor_shift(a[::-1])[::-1]
+    L = math.lcm(*(math.comb(n, i) for i in range(n + 1)))
+    return [c * (L // math.comb(n, i)) for i, c in enumerate(scaled)]
+
+
+def _halves(b: List[int]) -> Tuple[List[int], List[int]]:
+    """Bernstein coefficients of 2^n B(x / 2) and 2^n B((x + 1) / 2), by one
+    de Casteljau pass in integers: with row 0 = b and row r the sums of
+    adjacent entries of row r - 1, the left half is 2^(n-r) row_r[0] and the
+    right half, read from its end, 2^(n-r) row_r[-1]."""
+    n = len(b) - 1
+    left, right, row = [b[0] << n], [b[-1] << n], b
+    for shift in range(n - 1, -1, -1):
+        row = list(map(operator.add, row, row[1:]))
+        left.append(row[0] << shift)
+        right.append(row[-1] << shift)
+    right.reverse()
+    return left, right
+
+
+def _float_poly(a: List[int]) -> List[float]:
+    """a / 2^(bits of its largest coefficient) in floats, high to low; each
+    coefficient is rounded from its own leading bits, so a small one keeps
+    its value instead of shifting to 0."""
+    top = max(c.bit_length() for c in a)
+    out = []
+    for c in reversed(a):
+        drop = max(c.bit_length() - 64, 0)
+        out.append(math.ldexp(float(c >> drop), drop - top))
+    return out
+
+
+def _newton(f: List[float], lo: float, hi: float, s: int) -> float:
+    """A float estimate of the one root of f (high to low) in (lo, hi), where
+    f has the sign s just right of lo.  Newton from the midpoint; a step that
+    leaves the bracket, which the float signs keep shrinking, is replaced by
+    bisection."""
+    x = (lo + hi) / 2
+    for _ in range(64):
+        v = dv = 0.0
+        for c in f:
+            dv = dv * x + v
+            v = v * x + c
+        if v == 0:
+            break
+        if (v > 0) == (s > 0):
+            lo = x
+        else:
+            hi = x
+        y = x - v / dv if dv else lo
+        if not lo < y < hi:
+            y = (lo + hi) / 2
+        if abs(y - x) <= 2**-46 * x or hi - lo <= 2**-46 * x:
+            return y
+        x = y
+    return x
+
+
+def _bisect(a: List[int], u: int, e: int, s: int) -> Tuple[int, int]:
+    """The root of a in (u, u + 1) / 2^e, where a has the sign s just right of
+    u / 2^e, as (w, f) with root ~ w / 2^f: halve by the exact sign at the
+    midpoint until u >= 2^40, then take the midpoint; a midpoint where a
+    vanishes is the root itself."""
+    while not u >> 40:
+        u, e = 2 * u + 1, e + 1
+        t = _sign_at(a, u, e)
+        if t == 0:
+            return u, e
+        if t != s:
+            u -= 1
+    return 2 * u + 1, e + 1
+
+
+def _bracket(a: List[int], u: int, e: int, s: int, x: float) -> Optional[Tuple[int, int]]:
+    """What :func:`_bisect` returns, certified near the float guess x, or None.
+
+    At E = 41 - (frexp exponent of x) the grid index floor(x 2^E) lies in
+    [2^40, 2^41).  Exact signs there, then 1, 2, 4, .. steps towards the root
+    (clipped to the isolating interval), then bisection, find the cell
+    (v, v + 1) / 2^E with the sign s at its left end and -s at its right end.
+    Both ends are nonzero and in the isolating interval, so the root lies
+    strictly inside, and no grid point of level <= E is the root.  If v is
+    still in [2^40, 2^41), this is the cell where the bisection stops, and
+    its midpoint is returned.  A zero sign, or a guess or cell outside those
+    ranges, gives None.
+    """
+    E = 41 - math.frexp(x)[1]
+    if E <= e:
+        return None
+    lo_end, hi_end = u << (E - e), (u + 1) << (E - e)
+    v = int(math.ldexp(x, E))
+    if not lo_end <= v < hi_end:
+        return None
+    t = _sign_at(a, v, E)
+    step = 1 if t == s else -1  # towards the root
+    w, r = v, t
+    while r == t != 0:
+        v, w = w, min(max(w + step, lo_end), hi_end)
+        if w == v:
+            return None
+        r, step = _sign_at(a, w, E), 2 * step
+    if not r:  # also when t == 0
+        return None
+    lo, hi = min(v, w), max(v, w)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        t = _sign_at(a, mid, E)
+        if not t:
+            return None
+        if t == s:
+            lo = mid
+        else:
+            hi = mid
+    return (2 * lo + 1, E + 1) if lo >> 40 == 1 else None
+
+
 def _positive_roots(fn: LaurentInOmega) -> List[float]:
     """Every root Omega > 0 of fn, ascending, isolated in integer arithmetic.
 
     Omega^(-min power) fn with denominators cleared is an integer polynomial;
     Omega = 2^m x maps all its roots into |x| < 1 (Fujiwara's bound).  A piece
-    A(x) of it on (u, u + 1) / 2^e is dropped, kept as isolating or halved as
-    the coefficients of (x + 1)^n A(1 / (x + 1)) have 0, 1 or more sign
-    changes (Descartes; Vincent-Collins-Akritas bisection).  Each isolating
-    interval is then halved by the exact sign at its midpoint until it is
-    narrower than 2^-40 of its left end.  A multiple root, or roots that do
-    not separate at that width, raise RuntimeError.
+    of it on (u, u + 1) / 2^e, held as integer multiples of its Bernstein
+    coefficients on that interval, is dropped, kept as isolating or halved as
+    those coefficients have 0, 1 or more sign changes (Descartes' rule in the
+    Bernstein basis; the counts are those of (x + 1)^n A(1 / (x + 1)) for the
+    piece A(x) on (0, 1)).  Halving is one integer de Casteljau pass.  Each
+    isolating interval is then narrowed to the cell of width 2^-40 of its
+    left end that holds the root, and the cell's midpoint is returned: a
+    float Newton guess is bracketed on that grid by exact signs
+    (:func:`_bracket`), and bisection by the exact sign at the midpoint
+    (:func:`_bisect`) takes over wherever that does not certify the cell.  A
+    multiple root, or roots that do not separate at that width, raise
+    RuntimeError.
     """
     terms = {p: c for p, c in fn.terms.items() if c}
     if not terms:
@@ -202,37 +340,30 @@ def _positive_roots(fn: LaurentInOmega) -> List[float]:
     m = max([0] + [1 - (lead - c.bit_length() - 1) // (n - i) for i, c in enumerate(P[:-1]) if c])
     Q = [c << (m * i) for i, c in enumerate(P)]
     dQ = [i * c for i, c in enumerate(Q)][1:]
-    exact, isolated, pieces = [], [], [(0, 0, Q)]
+    exact, isolated, pieces = [], [], [(0, 0, _bernstein(Q))]
     while pieces:
-        u, e, A = pieces.pop()
-        signs = [c > 0 for c in _taylor_shift(A[::-1]) if c]
+        u, e, B = pieces.pop()
+        signs = [c > 0 for c in B if c]
         changes = sum(s != t for s, t in zip(signs, signs[1:]))
         if changes == 1:
             isolated.append((u, e))
         if changes < 2:
             continue
-        left = [c << (len(A) - 1 - i) for i, c in enumerate(A)]  # 2^n A(x / 2)
-        right = _taylor_shift(left)
+        left, right = _halves(B)
         if u >> 40 or right[0] == right[1] == 0:
             raise RuntimeError("a multiple root, or roots closer than 2^-40 relative, near "
                                f"Omega = {math.ldexp(2 * u + 1, m - e - 1):.12g}")
-        if right[0] == 0:  # a root at the midpoint
+        if right[0] == 0:  # a root at the midpoint: divide it out of the right half
             exact.append((2 * u + 1, e + 1))
-            right = right[1:]
+            L = math.lcm(*range(1, len(right)))
+            right = [c * (L // j) for j, c in enumerate(right[1:], 1)]
         pieces += [(2 * u, e + 1, left), (2 * u + 1, e + 1, right)]
+    F = _float_poly(Q)
     for u, e in isolated:
         # the sign just right of u / 2^e, which Q' gives if u / 2^e is a root
         s = _sign_at(Q, u, e) or _sign_at(dQ, u, e)
-        while not u >> 40:
-            u, e = 2 * u + 1, e + 1
-            t = _sign_at(Q, u, e)
-            if t == 0:
-                break
-            if t != s:
-                u -= 1
-        else:
-            u, e = 2 * u + 1, e + 1
-        exact.append((u, e))
+        guess = _newton(F, math.ldexp(u, -e), math.ldexp(u + 1, -e), s)
+        exact.append(_bracket(Q, u, e, s, guess) or _bisect(Q, u, e, s))
     return sorted(math.ldexp(u, m - e) for u, e in exact)
 
 
@@ -244,24 +375,24 @@ def optimize_omega(W: LaurentInOmega, k: int, selection: str = "min_w") -> VptOr
     there is none, the roots of d2W/dOmega2 (turning points) are used; if
     there is none of those either, RuntimeError is raised.  selection="min_w"
     picks the candidate with the lowest W, "min_omega" the leftmost one.
+    A root whose float residual exceeds 1e-10 (1e-8 for turning points) of
+    the term-magnitude sum raises RuntimeError.
     """
     if selection not in ("min_w", "min_omega"):
         raise ValueError(f"unknown selection {selection!r}")
-    d1 = W.derivative()
-    d2 = d1.derivative()
-    roots = _positive_roots(d1)
-    kind = "extremum"
-    if not roots:
-        roots = _positive_roots(d2)
-        kind = "turning_point"
+    fn, kind, rtol = W.derivative(), "extremum", 1e-10
+    roots = _positive_roots(fn)
+    if not roots:  # d2W/dOmega2 is built only when it is read
+        fn, kind, rtol = fn.derivative(), "turning_point", 1e-8
+        roots = _positive_roots(fn)
     if not roots:
         raise RuntimeError(f"W_{k} has no stationary or turning point at Omega > 0")
     # stationarity quality, scaled by the term-magnitude sum
     for r in roots:
-        if kind == "extremum":
-            assert abs(d1.evaluate(r)) <= 1e-10 * max(1.0, d1.scale(r))
-        else:
-            assert abs(d2.evaluate(r)) <= 1e-8 * max(1.0, d2.scale(r))
+        residual, scale = abs(fn.evaluate(r)), max(1.0, fn.scale(r))
+        if not residual <= rtol * scale:
+            raise RuntimeError(f"Omega = {r!r} is not a {kind} of W_{k}: residual {residual:.3e} "
+                               f"exceeds {rtol:g} of the term scale {scale:.3e}")
     candidates = tuple(OmegaCandidate(r, kind, W.evaluate(r)) for r in roots)
     if selection == "min_omega":
         chosen = 0

@@ -178,3 +178,82 @@ def w_laurent_terms(table, k, g_over_4, delta):
                 power = 1 + t - 3 * l + 2 * s
                 terms[power] = terms.get(power, Fraction(0)) + base * math.comb(t, s) * (-1) ** s
     return {p: c for p, c in terms.items() if c != 0}
+
+
+# ---------------------------------------------------------------- stationary points
+
+
+def _taylor_shift(a):
+    """Coefficients (low to high) of a(x + 1)."""
+    a = list(a)
+    for i in range(len(a) - 1):
+        for j in range(len(a) - 2, i - 1, -1):
+            a[j] += a[j + 1]
+    return a
+
+
+def _sign_at(a, u, e):
+    """Sign of a(u / 2^e), by Horner's rule on 2^(e deg a) a(u / 2^e)."""
+    h = 0
+    for i, c in enumerate(reversed(a)):
+        h = h * u + (c << (e * i))
+    return (h > 0) - (h < 0)
+
+
+def positive_roots_bisection(fn):
+    """Every root Omega > 0 of the Laurent polynomial fn, ascending: the
+    reference for ``anires.vpt._positive_roots``, which must return the same
+    floats bit for bit.
+
+    Omega^(-min power) fn with denominators cleared is an integer polynomial;
+    Omega = 2^m x maps all its roots into |x| < 1 (Fujiwara's bound).  A piece
+    A(x) of it on (u, u + 1) / 2^e is dropped, kept as isolating or halved as
+    the coefficients of (x + 1)^n A(1 / (x + 1)) have 0, 1 or more sign
+    changes (Descartes; Vincent-Collins-Akritas bisection), with one Taylor
+    shift per test and per split.  Each isolating interval is then halved by
+    the exact sign at its midpoint until it is narrower than 2^-40 of its left
+    end, and its midpoint is returned.  A multiple root, or roots that do not
+    separate at that width, raise RuntimeError.
+    """
+    terms = {p: c for p, c in fn.terms.items() if c}
+    if not terms:
+        return []
+    den, low = math.lcm(*(c.denominator for c in terms.values())), min(terms)
+    P = [0] * (max(terms) - low + 1)
+    for p, c in terms.items():
+        P[p - low] = c.numerator * (den // c.denominator)
+    n, lead = len(P) - 1, P[-1].bit_length()
+    m = max([0] + [1 - (lead - c.bit_length() - 1) // (n - i) for i, c in enumerate(P[:-1]) if c])
+    Q = [c << (m * i) for i, c in enumerate(P)]
+    dQ = [i * c for i, c in enumerate(Q)][1:]
+    exact, isolated, pieces = [], [], [(0, 0, Q)]
+    while pieces:
+        u, e, A = pieces.pop()
+        signs = [c > 0 for c in _taylor_shift(A[::-1]) if c]
+        changes = sum(s != t for s, t in zip(signs, signs[1:]))
+        if changes == 1:
+            isolated.append((u, e))
+        if changes < 2:
+            continue
+        left = [c << (len(A) - 1 - i) for i, c in enumerate(A)]  # 2^n A(x / 2)
+        right = _taylor_shift(left)
+        if u >> 40 or right[0] == right[1] == 0:
+            raise RuntimeError("a multiple root, or roots closer than 2^-40 relative, near "
+                               f"Omega = {math.ldexp(2 * u + 1, m - e - 1):.12g}")
+        if right[0] == 0:  # a root at the midpoint
+            exact.append((2 * u + 1, e + 1))
+            right = right[1:]
+        pieces += [(2 * u, e + 1, left), (2 * u + 1, e + 1, right)]
+    for u, e in isolated:
+        s = _sign_at(Q, u, e) or _sign_at(dQ, u, e)
+        while not u >> 40:
+            u, e = 2 * u + 1, e + 1
+            t = _sign_at(Q, u, e)
+            if t == 0:
+                break
+            if t != s:
+                u -= 1
+        else:
+            u, e = 2 * u + 1, e + 1
+        exact.append((u, e))
+    return sorted(math.ldexp(u, m - e) for u, e in exact)

@@ -1,7 +1,9 @@
 import math
+import random
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 
 from anires import (
@@ -12,10 +14,11 @@ from anires import (
     vpt_energy,
     w_laurent,
 )
-from anires.vpt import _shape
+from anires import vpt
+from anires.vpt import _positive_roots, _shape
 
 from fixtures_tables import DIAG_TRUTH, TABLE2, printed_tolerance
-from paper_formulas import reexpansion_coefficients, w_laurent_terms
+from paper_formulas import positive_roots_bisection, reexpansion_coefficients, w_laurent_terms
 
 
 class TestReexpansionCoefficients:
@@ -179,6 +182,39 @@ class TestOptimizeOmega:
         assert res_w.energy <= res_om.energy
         assert res_om.chosen == 0
 
+    @pytest.mark.parametrize("found", [[[1.3]], [[], [0.7]]], ids=["extremum", "turning-point"])
+    def test_non_root_raises_runtime_error(self, qm_table, monkeypatch, found):
+        # the stationarity check holds under python -O as well: no assert
+        answers = iter(found)
+        monkeypatch.setattr(vpt, "_positive_roots", lambda fn: next(answers))
+        W = w_laurent(qm_table, 3, Fraction(1, 10), Fraction(1, 2))
+        with pytest.raises(RuntimeError, match="is not a"):
+            optimize_omega(W, 3)
+
+    def test_second_derivative_built_only_when_read(self, qm_table, monkeypatch):
+        calls = []
+        derivative = LaurentInOmega.derivative
+
+        def counted(self):
+            calls.append(self)
+            return derivative(self)
+
+        monkeypatch.setattr(LaurentInOmega, "derivative", counted)
+        optimize_omega(w_laurent(qm_table, 1, Fraction(1, 10), Fraction(1, 2)), 1)
+        assert len(calls) == 1  # dW/dOmega has a root
+        calls.clear()
+        optimize_omega(w_laurent(qm_table, 2, Fraction(1, 10), Fraction(1, 2)), 2)
+        assert len(calls) == 2  # the turning-point fallback reads d2W/dOmega2
+
+    def test_float_evaluation_is_per_term(self, qm_table):
+        # the cached float coefficients give the sums of the exact terms bit for bit
+        W = w_laurent(qm_table, 11, Fraction(1, 10), Fraction(1, 2))
+        for fn in (W, W.derivative()):
+            for omega in (0.3, 1.1347, 2.5):
+                assert fn.evaluate(omega) == sum(float(c) * omega**p for p, c in fn.terms.items())
+                assert fn.scale(omega) == sum(abs(float(c)) * omega**p
+                                              for p, c in fn.terms.items())
+
 
 def _from_roots(roots):
     """W with dW/dOmega = prod (Omega - r) over ``roots``."""
@@ -247,6 +283,70 @@ class TestExactIsolation:
         assert [c.omega for c in res.candidates] == pytest.approx(positive, rel=1e-12)
 
 
+class TestCertifiedRefinement:
+    """The Bernstein isolation and bracketed Newton refinement return the
+    floats of the Taylor-shift isolation and 40-step bisection, bit for bit."""
+
+    def test_bit_identical_to_bisection_oracle(self, qm_table):
+        rng = random.Random(16)
+        cells = [(k, Fraction(rng.randint(1, 100), 50), Fraction(rng.randint(-30, 40), 20))
+                 for k in range(1, 13) for _ in range(4)]
+        cells += [(11, Fraction(1, 10), Fraction(1, 2)),   # criterion 02
+                  (9, Fraction(39, 50), Fraction(-3, 5)),  # the close pair
+                  (1, 150000, 0), (3, 150000, Fraction(1, 2))]
+        for k, gbar, d in cells:
+            d1 = w_laurent(qm_table, k, gbar, d).derivative()
+            for fn in (d1, d1.derivative()):
+                assert _positive_roots(fn) == positive_roots_bisection(fn), (k, gbar, d)
+
+    @pytest.mark.parametrize("roots, falls_back", [
+        ([Fraction(7, 5), Fraction(7, 5) * (1 + Fraction(1, 10**11))], False),
+        ([Fraction(3, 7) * (1 + i * Fraction(1, 10**11)) for i in range(3)], False),
+        ([1 - Fraction(1, 10**11), 1 + Fraction(1, 10**11)], False),
+        # the guess for the upper root of the pair misses by about 2e-8 and
+        # gallops to the left end of its interval, the exact root 9/4
+        ([Fraction(2, 3) * (1 + Fraction(1, 10**11)), Fraction(9, 4),
+          Fraction(9, 4) * (1 + Fraction(1, 10**11)), Fraction(31, 6)], True),
+    ], ids=["pair", "triple", "pair-around-1", "pair-at-dyadic"])
+    def test_clusters(self, monkeypatch, roots, falls_back):
+        # at a relative gap of 1e-11 the float values only carry noise
+        bisections = []
+        bisect = vpt._bisect
+        monkeypatch.setattr(vpt, "_bisect", lambda *args: bisections.append(args) or bisect(*args))
+        fn = _from_roots(roots).derivative()
+        found = _positive_roots(fn)
+        assert found == positive_roots_bisection(fn)
+        assert found == pytest.approx([float(r) for r in roots], rel=1e-12)
+        assert bool(bisections) == falls_back
+
+    @pytest.mark.parametrize("roots", [
+        [1, Fraction(1001, 1000), Fraction(1002, 1000), Fraction(3, 2)],
+        [Fraction(3, 4), Fraction(3, 4) + Fraction(1, 10**6), Fraction(3, 4) + Fraction(2, 10**6),
+         Fraction(7, 8)],
+    ], ids=["at-1", "at-3/4"])
+    def test_halving_after_a_midpoint_root(self, roots):
+        # the root found at a midpoint is divided out of the right half, which
+        # still holds several roots and is halved again
+        fn = _from_roots(roots).derivative()
+        found = _positive_roots(fn)
+        assert found == positive_roots_bisection(fn)
+        assert found == pytest.approx([float(r) for r in roots], rel=1e-12)
+
+    @pytest.mark.parametrize("guess", [
+        lambda lo, hi: lo, lambda lo, hi: hi, lambda lo, hi: (lo + hi) / 2,
+        lambda lo, hi: hi * (1 - 2**-50), lambda lo, hi: 2 * hi + 1,
+    ], ids=["left-end", "right-end", "midpoint", "below-right-end", "outside"])
+    def test_any_guess_gives_the_same_roots(self, qm_table, monkeypatch, guess):
+        # the float guess only decides where the exact search starts
+        monkeypatch.setattr(vpt, "_newton", lambda f, lo, hi, s: guess(lo, hi))
+        for k, gbar, d in [(11, Fraction(1, 10), Fraction(1, 2)), (9, Fraction(39, 50), Fraction(-3, 5)),
+                           (6, Fraction(1, 10), Fraction(1, 2)), (1, 150000, 0)]:
+            fn = w_laurent(qm_table, k, gbar, d).derivative()
+            assert _positive_roots(fn) == positive_roots_bisection(fn), (k, gbar, d)
+        fn = _from_roots([Fraction(1, 8), Fraction(3, 7), 1, Fraction(9, 4)]).derivative()
+        assert _positive_roots(fn) == positive_roots_bisection(fn)
+
+
 class TestAgainstReferenceTable:
     @pytest.mark.parametrize("gbar_s", ["0.1", "1.0"])
     @pytest.mark.parametrize("delta_s", ["-2.5", "-1.5", "-0.5", "0.5", "1.5"])
@@ -300,3 +400,32 @@ class TestAgainstReferenceTable:
             printed = float(TABLE2[gbar_s][k][delta_s])
             tol = printed_tolerance(TABLE2[gbar_s][k][delta_s])
             assert any(abs(c.w_value - printed) <= tol for c in res.candidates)
+
+
+def _ground_energy(gbar, d, M):
+    """Lowest eigenvalue of H = p^2/2 + r^2/2 + gbar (x^4 + y^4 + 2 (1 - d) x^2 y^2)
+    on the even-even products |2a, 2b>, a + b <= M, of oscillator functions of
+    frequency Omega = sqrt(1 + 2 gbar)."""
+    omega = math.sqrt(1 + 2 * gbar)
+    size = 2 * M + 5  # enough for exact x^4 elements between kept states
+    lower = np.diag(np.sqrt(np.arange(1, size)), 1)
+    x = (lower + lower.T) / math.sqrt(2 * omega)
+    x2 = x @ x
+    x4 = x2 @ x2
+    h = np.diag(omega * (np.arange(size) + 0.5)) + 0.5 * (1 - omega**2) * x2
+    even = slice(0, 2 * M + 1, 2)
+    h, x2, x4 = h[even, even], x2[even, even], x4[even, even]
+    one = np.eye(M + 1)
+    H = (np.kron(h, one) + np.kron(one, h)
+         + gbar * (np.kron(x4, one) + np.kron(one, x4) + 2 * (1 - d) * np.kron(x2, x2)))
+    keep = [a * (M + 1) + b for a in range(M + 1) for b in range(M + 1 - a)]
+    return np.linalg.eigvalsh(H[np.ix_(keep, keep)])[0]
+
+
+class TestDiagonalizationFixture:
+    def test_diag_truth_is_reproduced(self):
+        for (gbar_s, delta_s), frozen in DIAG_TRUTH.items():
+            gbar, d = float(gbar_s), float(delta_s)
+            energy = _ground_energy(gbar, d, 24)
+            assert abs(_ground_energy(gbar, d, 20) - energy) < 1e-11, (gbar_s, delta_s)
+            assert abs(frozen - energy) < 1e-9, (gbar_s, delta_s)
