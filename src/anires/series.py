@@ -53,6 +53,9 @@ Coefficient = Union[Fraction, int, float, SignedLog]
 # the crossover slope: package convention, midpoint of -1/2 and -1
 _CROSSOVER_SLOPE = -0.75
 
+# what entry returns off the stored triangle; Fractions are immutable
+_ZERO = Fraction(0)
+
 
 class CoefficientTable:
     """Triangular table (k, n) -> exact rational, 0 <= n <= k <= kmax.
@@ -83,8 +86,8 @@ class CoefficientTable:
         if k > self._kmax:
             raise ValueError(f"k={k} exceeds kmax={self._kmax}")
         if k < n:
-            return Fraction(0)
-        return self._entries.get((k, n), Fraction(0))
+            return _ZERO
+        return self._entries.get((k, n), _ZERO)
 
     def column(self, n: int, kmax: Optional[int] = None) -> List[Fraction]:
         """Coefficients of d^n for k = n .. kmax."""

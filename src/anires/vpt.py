@@ -18,14 +18,16 @@ regroups by j = l - t (omega = 1 in reduced units):
 
 The shape polynomial S_{j,T} depends on neither the table, the coupling nor
 the anisotropy, so its coefficients are cached on (j, T) and one W_k costs
-O(k^2) exact operations.  W_k has integer powers in [1-3k, 1]; coefficients
-stay exact rationals until evaluation.  Omega^{3k} dW/dOmega is then a
-polynomial over Q, and every one of its positive roots is isolated exactly
-before it is rounded to a float: Descartes' rule on integer Bernstein
-coefficients, split by de Casteljau halving, isolates them (Rouillier &
-Zimmermann, J. Comput. Appl. Math. 162 (2004) 33), and a float Newton guess
-whose 2^-40 cell is certified by exact signs places each one, with exact
-bisection wherever the guess does not certify.
+O(k^2) operations on Python ints.  Like the Bender-Wu blocks, W_k is held as
+integer numerators over one denominator; its reduced Fraction coefficients
+are formed only when read.  W_k has integer powers in [1-3k, 1], so
+Omega^{3k} dW/dOmega times that denominator is an integer polynomial, and
+every one of its positive roots is isolated exactly before it is rounded to
+a float: Descartes' rule on integer Bernstein coefficients, split by de
+Casteljau halving, isolates them (Rouillier & Zimmermann, J. Comput. Appl.
+Math. 162 (2004) 33), and a float Newton guess whose 2^-40 cell is certified
+by exact signs places each one, with exact bisection wherever the guess does
+not certify.
 
 At finite k the optimum Omega_k is a stationary point of W_k.  For odd k
 minima exist; for even k there is no extremum and turning points
@@ -44,7 +46,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from .series import CoefficientTable
 from .specfun import generalized_binomial
@@ -64,14 +66,42 @@ Exactish = Union[int, str, Fraction, float]
 
 @dataclass(frozen=True)
 class LaurentInOmega:
-    """Finite Laurent polynomial sum_p c_p Omega^p with exact coefficients."""
+    """Finite Laurent polynomial sum_p c_p Omega^p with exact rational c_p.
 
-    terms: Dict[int, Fraction]
+    The coefficients are integer numerators over one positive denominator,
+    c_p = numerators[p] / denominator, in lowest terms: no integer > 1
+    divides the denominator and every numerator, so equal polynomials compare
+    equal.  The reduced Fractions, terms, are formed when first read.
+    """
+
+    numerators: Dict[int, int]
+    denominator: int = 1
+
+    def __post_init__(self) -> None:
+        if self.denominator <= 0:
+            raise ValueError("the denominator must be positive")
+        g = math.gcd(self.denominator, *self.numerators.values())
+        if g > 1:
+            object.__setattr__(self, "numerators", {p: c // g for p, c in self.numerators.items()})
+            object.__setattr__(self, "denominator", self.denominator // g)
+
+    @classmethod
+    def from_terms(cls, terms: Mapping[int, Exactish]) -> "LaurentInOmega":
+        """The polynomial with the coefficients terms[p], in their order."""
+        q = {p: Fraction(c) for p, c in terms.items()}
+        den = math.lcm(*(c.denominator for c in q.values()))
+        return cls({p: c.numerator * (den // c.denominator) for p, c in q.items()}, den)
+
+    @functools.cached_property
+    def terms(self) -> Dict[int, Fraction]:
+        """{power: coefficient} as reduced Fractions, in the order of numerators."""
+        return {p: Fraction(c, self.denominator) for p, c in self.numerators.items()}
 
     @functools.cached_property
     def _float_terms(self) -> Tuple[Tuple[int, float], ...]:
-        # terms is never changed after construction, so it is converted once
-        return tuple((p, float(c)) for p, c in self.terms.items())
+        # the polynomial is never changed after construction, so it is
+        # converted once; int / int is correctly rounded, as float(Fraction) is
+        return tuple((p, c / self.denominator) for p, c in self.numerators.items())
 
     def evaluate(self, omega: float) -> float:
         if omega <= 0:
@@ -84,7 +114,8 @@ class LaurentInOmega:
         return sum((c * omega**p for p, c in self.terms.items()), Fraction(0))
 
     def derivative(self) -> "LaurentInOmega":
-        return LaurentInOmega({p - 1: c * p for p, c in self.terms.items() if p != 0})
+        return LaurentInOmega({p - 1: c * p for p, c in self.numerators.items() if p != 0},
+                              self.denominator)
 
     def scale(self, omega: float) -> float:
         """Sum of term magnitudes at omega: the natural cancellation scale."""
@@ -92,14 +123,23 @@ class LaurentInOmega:
 
 
 @functools.cache
-def _shape(j: int, T: int) -> Tuple[Fraction, ...]:
-    """Coefficients of S_{j,T}(x) = sum_{t<=T} C((1-3j)/2, t) (x - 1)^t in
-    powers x^u, u = 0 .. T; the key (j, T) is all the value depends on."""
-    if T < 0:
-        return ()
-    low = _shape(j, T - 1) + (0,)
-    c = generalized_binomial(Fraction(1 - 3 * j, 2), T)
-    return tuple(low[u] + c * math.comb(T, u) * (-1) ** (T - u) for u in range(T + 1))
+def _shape(j: int, T: int) -> Tuple[Tuple[int, ...], int]:
+    """S_{j,T}(x) = sum_{t<=T} C((1-3j)/2, t) (x - 1)^t as integer numerators
+    of x^u, u = 0 .. T, over one positive denominator; the key (j, T) is all
+    the value depends on."""
+    den = math.factorial(T) << T  # 2^T T! C((1-3j)/2, t) is an integer for t <= T
+    binom = [int(generalized_binomial(Fraction(1 - 3 * j, 2), t) * den) for t in range(T + 1)]
+    nums = [sum(binom[t] * math.comb(t, u) * (-1) ** (t - u) for t in range(u, T + 1))
+            for u in range(T + 1)]
+    g = math.gcd(den, *nums)
+    return tuple(c // g for c in nums), den // g
+
+
+def _rational(name: str, value: Exactish) -> Fraction:
+    try:
+        return Fraction(value)
+    except (ValueError, OverflowError, ZeroDivisionError):  # NaN, inf, "1/0", "x"
+        raise ValueError(f"{name} must be a finite rational number, got {value!r}") from None
 
 
 def w_laurent(
@@ -110,36 +150,48 @@ def w_laurent(
 ) -> LaurentInOmega:
     """W_k(Omega) as an exact Laurent polynomial, reduced units omega=1.
 
-    W_k = sum_{j<=k} E_j(d) gbar^j Omega^{1-3j} S_{j,k-j}(Omega^-2), with
-    E_j(d) by Horner in 2d and the shape polynomials S_{j,T} cached on (j, T):
-    the term x^u of S_{j,k-j} lands on the power 1 - 3j - 2u.  Powers are
-    inserted in the order of the first (j + u, j) that reaches them, as in the
-    sum over eps_l; that is descending unless some E_j(d) vanishes.
+    W_k = sum_{j<=k} E_j(d) gbar^j Omega^{1-3j} S_{j,k-j}(Omega^-2): the term
+    x^u of S_{j,k-j} lands on the power 1 - 3j - 2u.  The sum runs in Python
+    ints over one denominator.  With gbar = gn/gd and 2d = dn/dd, E_j(d) gbar^j
+    is gn^j times the Horner sum in (dn, dd) of the row's E_jn over the lcm L_j
+    of their denominators, all over L_j (dd gd)^j.  The shape polynomials
+    S_{j,T} are integer numerators over one denominator, cached on (j, T).
+    Every power's coefficient is accumulated as an int over the lcm of the
+    products of the two denominators, and the result keeps those ints; its
+    Fractions are formed only when read.  Powers are inserted in the order of
+    the first (j + u, j) that reaches them, as in the sum over eps_l; that is
+    descending unless some E_j(d) vanishes.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
     if k > table.kmax:
         raise ValueError(f"k={k} exceeds table kmax={table.kmax}")
-    gbar = Fraction(g_over_4)
+    gbar = _rational("g_over_4", g_over_4)
     if gbar <= 0:
         raise ValueError("requires g/4 > 0")
-    two_d = 2 * Fraction(delta)
-    bases: List[Fraction] = []  # E_j(d) gbar^j
-    gbar_j = Fraction(1)
-    for j in range(k + 1):
-        e_j = Fraction(0)
-        for n in range(j, -1, -1):
-            e_j = e_j * two_d + table.entry(j, n)
-        bases.append(e_j * gbar_j)
-        gbar_j *= gbar
+    gn, gd = gbar.numerator, gbar.denominator
+    dn, dd = (2 * _rational("delta", delta)).as_integer_ratio()
     shapes = [_shape(j, k - j) for j in range(k + 1)]
-    terms: Dict[int, Fraction] = {}
+    nums: List[int] = []  # E_j(d) gbar^j over the shape denominator: nums[j] / dens[j]
+    dens: List[int] = []
+    for j, (_, shape_den) in enumerate(shapes):
+        row = [table.entry(j, n) for n in range(j + 1)]
+        L = math.lcm(*(e.denominator for e in row))
+        h, dd_power = 0, 1
+        for e in reversed(row):
+            h = h * dn + e.numerator * (L // e.denominator) * dd_power
+            dd_power *= dd
+        nums.append(h * gn**j)
+        dens.append(L * shape_den * (dd * gd) ** j)
+    den = math.lcm(*dens)
+    scaled = [h * (den // d) for h, d in zip(nums, dens)]
+    terms: Dict[int, int] = {}
     for l in range(k + 1):
         for j in range(l + 1):
-            if bases[j]:
+            if scaled[j]:
                 p = 1 - j - 2 * l  # 1 - 3j - 2u with u = l - j
-                terms[p] = terms.get(p, 0) + bases[j] * shapes[j][l - j]
-    return LaurentInOmega({p: c for p, c in terms.items() if c != 0})
+                terms[p] = terms.get(p, 0) + scaled[j] * shapes[j][0][l - j]
+    return LaurentInOmega({p: c for p, c in terms.items() if c}, den)
 
 
 @dataclass(frozen=True)
@@ -313,28 +365,28 @@ def _bracket(a: List[int], u: int, e: int, s: int, x: float) -> Optional[Tuple[i
 def _positive_roots(fn: LaurentInOmega) -> List[float]:
     """Every root Omega > 0 of fn, ascending, isolated in integer arithmetic.
 
-    Omega^(-min power) fn with denominators cleared is an integer polynomial;
-    Omega = 2^m x maps all its roots into |x| < 1 (Fujiwara's bound).  A piece
-    of it on (u, u + 1) / 2^e, held as integer multiples of its Bernstein
-    coefficients on that interval, is dropped, kept as isolating or halved as
-    those coefficients have 0, 1 or more sign changes (Descartes' rule in the
-    Bernstein basis; the counts are those of (x + 1)^n A(1 / (x + 1)) for the
-    piece A(x) on (0, 1)).  Halving is one integer de Casteljau pass.  Each
-    isolating interval is then narrowed to the cell of width 2^-40 of its
-    left end that holds the root, and the cell's midpoint is returned: a
-    float Newton guess is bracketed on that grid by exact signs
-    (:func:`_bracket`), and bisection by the exact sign at the midpoint
-    (:func:`_bisect`) takes over wherever that does not certify the cell.  A
-    multiple root, or roots that do not separate at that width, raise
-    RuntimeError.
+    Omega^(-min power) fn times its denominator is an integer polynomial, read
+    off fn.numerators; Omega = 2^m x maps all its roots into |x| < 1
+    (Fujiwara's bound).  A piece of it on (u, u + 1) / 2^e, held as integer
+    multiples of its Bernstein coefficients on that interval, is dropped,
+    kept as isolating or halved as those coefficients have 0, 1 or more sign
+    changes (Descartes' rule in the Bernstein basis; the counts are those of
+    (x + 1)^n A(1 / (x + 1)) for the piece A(x) on (0, 1)).  Halving is one
+    integer de Casteljau pass.  Each isolating interval is then narrowed to
+    the cell of width 2^-40 of its left end that holds the root, and the
+    cell's midpoint is returned: a float Newton guess is bracketed on that
+    grid by exact signs (:func:`_bracket`), and bisection by the exact sign at
+    the midpoint (:func:`_bisect`) takes over wherever that does not certify
+    the cell.  A multiple root, or roots that do not separate at that width,
+    raise RuntimeError.
     """
-    terms = {p: c for p, c in fn.terms.items() if c}
+    terms = {p: c for p, c in fn.numerators.items() if c}
     if not terms:
         return []
-    den, low = math.lcm(*(c.denominator for c in terms.values())), min(terms)
+    low = min(terms)
     P = [0] * (max(terms) - low + 1)
     for p, c in terms.items():
-        P[p - low] = c.numerator * (den // c.denominator)
+        P[p - low] = c
     n, lead = len(P) - 1, P[-1].bit_length()
     # 2^m >= 2 max_i |P_i / P_n|^(1 / (n - i)) bounds every |root|
     m = max([0] + [1 - (lead - c.bit_length() - 1) // (n - i) for i, c in enumerate(P[:-1]) if c])

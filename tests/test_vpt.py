@@ -85,6 +85,39 @@ class TestWLaurent:
             t1, 5, Fraction(1, 10), 0
         ).terms
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, "inf", "1/0"])
+    def test_non_finite_input_names_the_argument(self, qm_table, bad):
+        for call in (w_laurent, vpt_energy):
+            with pytest.raises(ValueError, match="g_over_4 must be a finite rational"):
+                call(qm_table, 3, bad, Fraction(1, 2))
+            with pytest.raises(ValueError, match="delta must be a finite rational"):
+                call(qm_table, 3, Fraction(1, 10), bad)
+
+
+def _fractions_made(monkeypatch, call):
+    """The number of Fractions constructed while call() runs."""
+    new, made = Fraction.__new__, []
+    with monkeypatch.context() as patch:
+        patch.setattr(Fraction, "__new__",
+                      lambda cls, *args, **kwargs: made.append(args) or new(cls, *args, **kwargs))
+        call()
+    return len(made)
+
+
+class TestFractionCount:
+    """W_k is summed in ints: its Fractions are formed only per power, when
+    terms is read, not per product (430 at k = 11 when every product was a
+    Fraction)."""
+
+    def test_counts_at_the_criterion_02_cell(self, qm_table, monkeypatch):
+        k, gbar, d = 11, Fraction(1, 10), Fraction(1, 2)
+        vpt_energy(qm_table, k, gbar, d)  # the shape polynomials are cached
+        bound = 2 * (3 * k + 2)  # W_k has at most 3k + 1 powers
+        assert _fractions_made(monkeypatch, lambda: w_laurent(qm_table, k, gbar, d).terms) <= bound
+        assert _fractions_made(monkeypatch, lambda: vpt_energy(qm_table, k, gbar, d)) <= bound
+        W = w_laurent(qm_table, k, gbar, d)
+        assert _fractions_made(monkeypatch, lambda: W.terms) == len(W.numerators) <= 3 * k + 1
+
 
 class TestRegroupedAssembly:
     """w_laurent regroups the (l, j, s) sum over eps_l by j; nothing may change."""
@@ -96,6 +129,11 @@ class TestRegroupedAssembly:
                  for gbar in (Fraction(1, 50), Fraction(1, 10), 1, 2)
                  for d in (Fraction(-3, 2), Fraction(-3, 5), 0, Fraction(1, 3), 2, 4)]
         cells.append((11, Fraction(1, 10), Fraction(1, 2)))  # the criterion-02 cell
+        # the integer path's edges: a large, a non-dyadic and a tiny coupling;
+        # 2d = 0, E_1(d) = 0, a non-dyadic and a negative anisotropy
+        cells += [(k, gbar, d) for k in range(13)
+                  for gbar in (150000, Fraction(7, 3), Fraction(1, 10**6))
+                  for d in (0, 4, Fraction(22, 7), Fraction(-3, 2))]
         for k, gbar, d in cells:
             expected = list(w_laurent_terms(qm_table, k, gbar, d).items())
             assert list(w_laurent(qm_table, k, gbar, d).terms.items()) == expected, (k, gbar, d)
@@ -118,12 +156,32 @@ class TestRegroupedAssembly:
         keys = list(w_laurent(table, 4, Fraction(1, 10), Fraction(1, 2)).terms)
         assert keys.index(-8) < keys.index(-7)
 
+    def test_derivative_multiplies_by_the_power(self, qm_table):
+        # value and key order; the power 0 term drops out
+        W = w_laurent(qm_table, 11, Fraction(1, 10), Fraction(1, 2))
+        given = LaurentInOmega.from_terms({2: 3, 0: Fraction(5, 7), -1: Fraction(-4, 9), -3: 6})
+        for fn in (W, W.derivative(), given):
+            expected = [(p - 1, c * p) for p, c in fn.terms.items() if p != 0]
+            assert list(fn.derivative().terms.items()) == expected
+        assert 1 in W.terms and 0 in W.derivative().terms and 0 in given.terms
+
+    def test_lowest_terms(self):
+        # one common denominator, reduced, so equal polynomials compare equal
+        fn = LaurentInOmega({1: 4, 0: 0, -2: 10}, 6)
+        assert (fn.numerators, fn.denominator) == ({1: 2, 0: 0, -2: 5}, 3)
+        assert fn == LaurentInOmega.from_terms({1: Fraction(2, 3), 0: 0, -2: Fraction(5, 3)})
+        assert list(fn.terms.items()) == [(1, Fraction(2, 3)), (0, 0), (-2, Fraction(5, 3))]
+        with pytest.raises(ValueError, match="positive"):
+            LaurentInOmega({1: 1}, 0)
+
     def test_shape_polynomials(self):
-        # S_{j,T}(x) = sum_t C((1-3j)/2, t) (x - 1)^t, coefficient of x^s
+        # S_{j,T}(x) = sum_t C((1-3j)/2, t) (x - 1)^t, coefficient of x^s,
+        # held as integer numerators over one denominator
         for j in range(13):
             for T in range(13 - j):
                 a = Fraction(1 - 3 * j, 2)
-                assert _shape(j, T) == tuple(
+                numerators, denominator = _shape(j, T)
+                assert tuple(Fraction(c, denominator) for c in numerators) == tuple(
                     sum(generalized_binomial(a, t) * math.comb(t, s) * (-1) ** (t - s)
                         for t in range(s, T + 1))
                     for s in range(T + 1)), (j, T)
@@ -223,7 +281,7 @@ def _from_roots(roots):
         dw = [Fraction(0)] + dw
         for i in range(len(dw) - 1):
             dw[i] -= r * dw[i + 1]
-    return LaurentInOmega({i + 1: c / (i + 1) for i, c in enumerate(dw) if c})
+    return LaurentInOmega.from_terms({i + 1: c / (i + 1) for i, c in enumerate(dw) if c})
 
 
 class TestExactIsolation:
