@@ -43,7 +43,6 @@ from .borel import (
     basis_integral,
     basis_integral_tform,
     basis_integrals,
-    basis_series_coefficient,
     borel_coefficients,
     build_approximant,
     reexpansion_check,

@@ -52,7 +52,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import count, islice
+from itertools import count
 from typing import Dict, Iterator, List, Sequence, Tuple, Union
 
 from .quadrature import DEFAULT_SPEC, QuadratureSpec, integrate_unit, integrate_semiline
@@ -63,7 +63,6 @@ __all__ = [
     "ResummedApproximant",
     "pochhammer",
     "borel_coefficients",
-    "basis_series_coefficient",
     "basis_integral",
     "basis_integrals",
     "basis_integral_tform",
@@ -144,8 +143,12 @@ def borel_coefficients(
 
 def _basis_series(p: int, b0, alpha, sigma, x, scale=1) -> Iterator:
     """``scale`` times the terms I^p_k x^k of the power series of I_p(x), for
-    k = p, p+1, ... without end, each from the previous one by the ratio of the
-    closed form in :func:`basis_series_coefficient`,
+    k = p, p+1, ... without end (I^p_k = 0 for k < p).  From the
+    hypergeometric series, with a = p - alpha and m = k - p,
+
+        I^p_k = (sigma/4)^p (-sigma)^m (b0+1)_k (a)_m (a+1/2)_m / ((2a+1)_m m!),
+
+    so each term follows from the previous one by the ratio
 
         I^p_k x / I^p_{k-1} = (-sigma x)(b0+k)(a+m-1)(a+m-1/2) / ((2a+m) m).
 
@@ -162,20 +165,6 @@ def _basis_series(p: int, b0, alpha, sigma, x, scale=1) -> Iterator:
     for m in count(1):
         term *= minus_sx * (b0_k + m) * (a_1 + m) * (a_half + m) / ((two_a + m) * m)
         yield term
-
-
-def basis_series_coefficient(spec: BorelBasisSpec, k: int) -> Fraction:
-    """Coefficient of g^k in the power series of I_p; zero for k < p.
-
-    From the hypergeometric series, with a = p - alpha and m = k - p:
-
-        I^p_k = (sigma/4)^p (-sigma)^m (b0+1)_k (a)_m (a+1/2)_m
-                / ((2a+1)_m m!).
-    """
-    if k < spec.p:
-        return Fraction(0)
-    terms = _basis_series(spec.p, spec.b0, Fraction(spec.alpha), Fraction(spec.sigma), 1)
-    return next(islice(terms, k - spec.p, None))
 
 
 def _basis_series_value(p: int, b0: float, alpha: float, sigma: float, g: float) -> float:
@@ -375,8 +364,10 @@ class ResummedApproximant:
         return basis_integral(self.basis_spec(p, n), g, quad)
 
     def resum(self, g: float, y: float, quad: QuadratureSpec = DEFAULT_SPEC) -> float:
-        if not g > 0:
-            raise ValueError(f"requires g > 0, got {g}")
+        if not 0 < g < math.inf:
+            raise ValueError(f"requires a finite g > 0, got {g}")
+        if not abs(y) < math.inf:
+            raise ValueError(f"requires a finite y, got {y}")
         total = 0.0
         for (n, _, _), value in zip(self._columns, self.basis_values(g, quad)):
             total += value * y**n

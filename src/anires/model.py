@@ -90,8 +90,8 @@ def z_coeff_delta_scaled(k: int, delta: float) -> SignedLog:
     """
     if k < 0:
         raise ValueError(f"negative order {k}")
-    if not delta < 2.0:
-        raise ValueError(f"requires delta < 2, got {delta}")
+    if not -math.inf < delta < 2.0:
+        raise ValueError(f"requires a finite delta < 2, got {delta}")
     if k == 0:
         return SignedLog(1, 0.0)
     x = (4.0 - delta) / (2.0 * math.sqrt(4.0 - 2.0 * delta))  # >= 1 for all d < 2
@@ -115,10 +115,10 @@ def z_reference(g: float, delta: float, spec: QuadratureSpec = DEFAULT_SPEC) -> 
     exponents combined analytically, so the integrand never overflows:
     for any sign of d the combined exponent stays negative for d < 2.
     """
-    if not g > 0:
-        raise ValueError(f"requires g > 0, got {g}")
-    if not delta < 2.0:
-        raise ValueError(f"requires delta < 2, got {delta}")
+    if not 0 < g < math.inf:
+        raise ValueError(f"requires a finite g > 0, got {g}")
+    if not -math.inf < delta < 2.0:
+        raise ValueError(f"requires a finite delta < 2, got {delta}")
     quarter = 0.25 * delta * g
     # combined quadratic coefficient after absorbing the Bessel scaling:
     # g(1 - d/2) for d > 0, g for d <= 0; positive for all d < 2

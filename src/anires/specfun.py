@@ -71,8 +71,8 @@ def legendre_scaled(k: int, x: float) -> Tuple[float, int]:
     """
     if k < 0:
         raise ValueError(f"degree must be >= 0, got {k}")
-    if not x >= 1.0:
-        raise ValueError(f"legendre_scaled requires x >= 1, got {x}")
+    if not 1.0 <= x < math.inf:
+        raise ValueError(f"legendre_scaled requires a finite x >= 1, got {x}")
     if k == 0:
         return 1.0, 0
     if k == 1:

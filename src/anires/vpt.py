@@ -25,9 +25,9 @@ Omega^{3k} dW/dOmega times that denominator is an integer polynomial, and
 every one of its positive roots is isolated exactly before it is rounded to
 a float: Descartes' rule on integer Bernstein coefficients, split by de
 Casteljau halving, isolates them (Rouillier & Zimmermann, J. Comput. Appl.
-Math. 162 (2004) 33), and a float Newton guess whose 2^-40 cell is certified
-by exact signs places each one, with exact bisection wherever the guess does
-not certify.
+Math. 162 (2004) 33).  Each root is then placed in its cell of width 2^-40
+by exact signs, on one path: a float Newton guess only sets where that
+search starts.
 
 At finite k the optimum Omega_k is a stationary point of W_k.  For odd k
 minima exist; for even k there is no extremum and turning points
@@ -46,7 +46,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Tuple, Union
+from typing import Dict, List, Tuple, Union
 
 from .series import CoefficientTable
 from .specfun import generalized_binomial
@@ -85,13 +85,6 @@ class LaurentInOmega:
             object.__setattr__(self, "numerators", {p: c // g for p, c in self.numerators.items()})
             object.__setattr__(self, "denominator", self.denominator // g)
 
-    @classmethod
-    def from_terms(cls, terms: Mapping[int, Exactish]) -> "LaurentInOmega":
-        """The polynomial with the coefficients terms[p], in their order."""
-        q = {p: Fraction(c) for p, c in terms.items()}
-        den = math.lcm(*(c.denominator for c in q.values()))
-        return cls({p: c.numerator * (den // c.denominator) for p, c in q.items()}, den)
-
     @functools.cached_property
     def terms(self) -> Dict[int, Fraction]:
         """{power: coefficient} as reduced Fractions, in the order of numerators."""
@@ -104,8 +97,8 @@ class LaurentInOmega:
         return tuple((p, c / self.denominator) for p, c in self.numerators.items())
 
     def evaluate(self, omega: float) -> float:
-        if omega <= 0:
-            raise ValueError("requires Omega > 0")
+        if not 0 < omega < math.inf:
+            raise ValueError(f"requires a finite Omega > 0, got {omega!r}")
         return sum(c * omega**p for p, c in self._float_terms)
 
     def evaluate_exact(self, omega: Fraction) -> Fraction:
@@ -304,62 +297,45 @@ def _newton(f: List[float], lo: float, hi: float, s: int) -> float:
     return x
 
 
-def _bisect(a: List[int], u: int, e: int, s: int) -> Tuple[int, int]:
-    """The root of a in (u, u + 1) / 2^e, where a has the sign s just right of
-    u / 2^e, as (w, f) with root ~ w / 2^f: halve by the exact sign at the
-    midpoint until u >= 2^40, then take the midpoint; a midpoint where a
-    vanishes is the root itself."""
-    while not u >> 40:
-        u, e = 2 * u + 1, e + 1
-        t = _sign_at(a, u, e)
-        if t == 0:
-            return u, e
-        if t != s:
-            u -= 1
-    return 2 * u + 1, e + 1
+def _refine(Q: List[int], u: int, e: int, s: int, x: float) -> Tuple[int, int]:
+    """The root of Q in (u, u + 1) / 2^e, where Q has the sign s just right of
+    u / 2^e, as (w, f) with root ~ w / 2^f, for any float guess x.
 
-
-def _bracket(a: List[int], u: int, e: int, s: int, x: float) -> Optional[Tuple[int, int]]:
-    """What :func:`_bisect` returns, certified near the float guess x, or None.
-
-    At E = 41 - (frexp exponent of x) the grid index floor(x 2^E) lies in
-    [2^40, 2^41).  Exact signs there, then 1, 2, 4, .. steps towards the root
-    (clipped to the isolating interval), then bisection, find the cell
-    (v, v + 1) / 2^E with the sign s at its left end and -s at its right end.
-    Both ends are nonzero and in the isolating interval, so the root lies
-    strictly inside, and no grid point of level <= E is the root.  If v is
-    still in [2^40, 2^41), this is the cell where the bisection stops, and
-    its midpoint is returned.  A zero sign, or a guess or cell outside those
-    ranges, gives None.
+    The reference halves (u, u + 1) / 2^e by the exact sign at the midpoint
+    until the cell index reaches 2^40 at some level f, and returns the cell's
+    midpoint, or the root itself if a midpoint hits it.  Here x, clipped into
+    the interval, only sets where that cell is sought: on the grid of level
+    E = max(e, 41 - frexp exponent of x), exact signs 1, 2, 4, .. steps from
+    floor(x 2^E) and then bisection find the cell (c, c + 1) / 2^E that holds
+    the root, or the root c / 2^E itself.  The interval's ends are never
+    evaluated: they carry the signs s and -s, and either may be a root of Q
+    found at a midpoint.  A cell index below 2^40 is halved on as in the
+    reference; one of 2^41 or more drops its low bits down to level f.
     """
-    E = 41 - math.frexp(x)[1]
-    if E <= e:
-        return None
-    lo_end, hi_end = u << (E - e), (u + 1) << (E - e)
-    v = int(math.ldexp(x, E))
-    if not lo_end <= v < hi_end:
-        return None
-    t = _sign_at(a, v, E)
-    step = 1 if t == s else -1  # towards the root
-    w, r = v, t
-    while r == t != 0:
-        v, w = w, min(max(w + step, lo_end), hi_end)
-        if w == v:
-            return None
-        r, step = _sign_at(a, w, E), 2 * step
-    if not r:  # also when t == 0
-        return None
-    lo, hi = min(v, w), max(v, w)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        t = _sign_at(a, mid, E)
-        if not t:
-            return None
-        if t == s:
-            lo = mid
-        else:
-            hi = mid
-    return (2 * lo + 1, E + 1) if lo >> 40 == 1 else None
+    x = min(math.ldexp(u + 1, -e), max(math.ldexp(u, -e), x))  # NaN goes to the left end
+    E = max(e, 41 - math.frexp(x)[1])
+    lo, hi = u << (E - e), (u + 1) << (E - e)
+    v, step, t = min(max(int(math.ldexp(x, E)), lo), hi), 1, s
+    while t and hi - lo > 1:
+        if not lo < v < hi:
+            v = (lo + hi) // 2
+        t = _sign_at(Q, v, E)
+        if t == -s:
+            hi, v = v, v - step
+        else:  # t == s, or t == 0 at the root
+            lo, v = v, v + step
+        step *= 2
+    c = lo
+    while t and not c >> 40:
+        c, E = 2 * c + 1, E + 1
+        t = _sign_at(Q, c, E)
+        if t == -s:
+            c -= 1
+    drop = min(E - e, max(c.bit_length() - 41, 0))
+    w, f = c >> drop, E - drop
+    if not t and w << drop == c:  # the root is a grid point of level f
+        return w, f
+    return 2 * w + 1, f + 1
 
 
 def _positive_roots(fn: LaurentInOmega) -> List[float]:
@@ -372,13 +348,13 @@ def _positive_roots(fn: LaurentInOmega) -> List[float]:
     kept as isolating or halved as those coefficients have 0, 1 or more sign
     changes (Descartes' rule in the Bernstein basis; the counts are those of
     (x + 1)^n A(1 / (x + 1)) for the piece A(x) on (0, 1)).  Halving is one
-    integer de Casteljau pass.  Each isolating interval is then narrowed to
-    the cell of width 2^-40 of its left end that holds the root, and the
-    cell's midpoint is returned: a float Newton guess is bracketed on that
-    grid by exact signs (:func:`_bracket`), and bisection by the exact sign at
-    the midpoint (:func:`_bisect`) takes over wherever that does not certify
-    the cell.  A multiple root, or roots that do not separate at that width,
-    raise RuntimeError.
+    integer de Casteljau pass.  The first nonzero coefficient of an isolating
+    piece has the sign of Q just right of its left end: halving scales by
+    positive integers, and a midpoint root divided out lies at or left of that
+    end.  Each isolating interval is then narrowed to the cell of width 2^-40 of its left end that
+    holds the root, and the cell's midpoint is returned: exact signs search
+    for that cell from a float Newton guess (:func:`_refine`).  A multiple
+    root, or roots that do not separate at that width, raise RuntimeError.
     """
     terms = {p: c for p, c in fn.numerators.items() if c}
     if not terms:
@@ -391,14 +367,13 @@ def _positive_roots(fn: LaurentInOmega) -> List[float]:
     # 2^m >= 2 max_i |P_i / P_n|^(1 / (n - i)) bounds every |root|
     m = max([0] + [1 - (lead - c.bit_length() - 1) // (n - i) for i, c in enumerate(P[:-1]) if c])
     Q = [c << (m * i) for i, c in enumerate(P)]
-    dQ = [i * c for i, c in enumerate(Q)][1:]
     exact, isolated, pieces = [], [], [(0, 0, _bernstein(Q))]
     while pieces:
         u, e, B = pieces.pop()
         signs = [c > 0 for c in B if c]
         changes = sum(s != t for s, t in zip(signs, signs[1:]))
         if changes == 1:
-            isolated.append((u, e))
+            isolated.append((u, e, 1 if signs[0] else -1))
         if changes < 2:
             continue
         left, right = _halves(B)
@@ -411,11 +386,8 @@ def _positive_roots(fn: LaurentInOmega) -> List[float]:
             right = [c * (L // j) for j, c in enumerate(right[1:], 1)]
         pieces += [(2 * u, e + 1, left), (2 * u + 1, e + 1, right)]
     F = _float_poly(Q)
-    for u, e in isolated:
-        # the sign just right of u / 2^e, which Q' gives if u / 2^e is a root
-        s = _sign_at(Q, u, e) or _sign_at(dQ, u, e)
-        guess = _newton(F, math.ldexp(u, -e), math.ldexp(u + 1, -e), s)
-        exact.append(_bracket(Q, u, e, s, guess) or _bisect(Q, u, e, s))
+    for u, e, s in isolated:
+        exact.append(_refine(Q, u, e, s, _newton(F, math.ldexp(u, -e), math.ldexp(u + 1, -e), s)))
     return sorted(math.ldexp(u, m - e) for u, e in exact)
 
 

@@ -1,6 +1,7 @@
 import json
 import math
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -12,7 +13,6 @@ from anires import (
     basis_integral,
     basis_integral_tform,
     basis_integrals,
-    basis_series_coefficient,
     benderwu_build,
     borel_coefficients,
     build_approximant,
@@ -35,6 +35,12 @@ TIGHT = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-12, max_refinements=12)
 
 def model_spec(p, n):
     return BorelBasisSpec(p=p, b0=Fraction(n + 1), alpha=Fraction(-1, 2), sigma=Fraction(4))
+
+
+def series_coefficients(spec, stop, x=1):
+    """I^p_k x^k for k = 0 .. stop - 1; borel._basis_series yields them from k = p."""
+    terms = borel._basis_series(spec.p, spec.b0, Fraction(spec.alpha), Fraction(spec.sigma), x)
+    return [Fraction(0)] * min(spec.p, stop) + list(islice(terms, max(stop - spec.p, 0)))
 
 
 @pytest.fixture(scope="module")
@@ -111,21 +117,22 @@ class TestBasisSeriesCoefficient:
         # I^p_k = (sigma/4)^p (-sigma)^m (b0+1)_k (a)_m (a+1/2)_m / ((2a+1)_m m!)
         spec = BorelBasisSpec(p=p, b0=b0, alpha=alpha, sigma=sigma)
         a = p - alpha
+        got = series_coefficients(spec, 21)
         for k in range(p, 21):
             m = k - p
             want = ((sigma / 4) ** p * (-sigma) ** m * pochhammer(b0 + 1, k) * pochhammer(a, m)
                     * pochhammer(a + Fraction(1, 2), m) / (pochhammer(2 * a + 1, m) * math.factorial(m)))
-            assert basis_series_coefficient(spec, k) == want, k
+            assert got[k] == want, k
 
     def test_isotropic_channel_matches_exact_coefficients(self):
         # with a_00 = 1 the n=0 basis alone carries the whole isotropic
         # series: I^0_k = Z_k0 exactly
-        spec = model_spec(0, 0)
-        for k in range(20):
-            assert basis_series_coefficient(spec, k) == z_coeff(k, 0)
+        assert series_coefficients(model_spec(0, 0), 20) == [z_coeff(k, 0) for k in range(20)]
 
     def test_zero_below_p(self):
-        assert basis_series_coefficient(model_spec(3, 0), 2) == 0
+        # the series of I_3 starts at x^3: its first term scales as x^3
+        spec = model_spec(3, 0)
+        assert series_coefficients(spec, 4, 2)[3] == 8 * series_coefficients(spec, 4)[3] != 0
 
     def test_inverse_of_coefficient_map(self):
         # feeding the series of I_p back through the a_p formula returns
@@ -134,7 +141,7 @@ class TestBasisSeriesCoefficient:
         N = 7
         for p in (0, 2, 5):
             spec = model_spec(p, 0)
-            column = [basis_series_coefficient(spec, k) for k in range(N + 1)]
+            column = series_coefficients(spec, N + 1)
             a = borel_coefficients(column, params, 0)
             expected = [Fraction(1) if q == p else Fraction(0) for q in range(N + 1)]
             assert a == expected
@@ -258,6 +265,15 @@ class TestApproximant:
         )
         assert [fresh.resum(g, d, TIGHT) for g, d in grid] == warm
 
+    def test_resum_names_a_non_finite_argument(self, model_approx_12):
+        # y = nan gave nan and y = inf gave -inf; g = inf a bare math domain error
+        for y in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="finite y"):
+                model_approx_12.resum(0.1, y)
+        for g in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite g > 0"):
+                model_approx_12.resum(g, 0.5)
+
     def test_json_export_schema(self, model_approx_12):
         doc = json.loads(approximant_to_json(model_approx_12))
         assert set(doc) == {"N", "sigma", "alpha", "b0_offset", "a"}
@@ -279,7 +295,7 @@ class TestApproximant:
             for k in range(n, 9):
                 rec = 0.0
                 for p in range(n, k + 1):
-                    rec += float(basis_series_coefficient(approx.basis_spec(p, n), k)) * float(
+                    rec += float(series_coefficients(approx.basis_spec(p, n), k + 1)[k]) * float(
                         approx.a[(p, n)]
                     )
                 target = float(mc.table.entry(k, n))

@@ -147,6 +147,11 @@ class TestZCoeffDelta:
         with pytest.raises(ValueError, match="delta < 2"):
             z_coeff_delta_scaled(5, float("nan"))
 
+    def test_scaled_rejects_infinite_delta(self):
+        # delta is blamed, not the Legendre argument it would make NaN
+        with pytest.raises(ValueError, match="finite delta < 2"):
+            z_coeff_delta_scaled(5, -math.inf)
+
     @pytest.mark.parametrize("delta", [Fraction(-1), Fraction(-1, 2), Fraction(1, 2), Fraction(1)])
     def test_exact_polynomial_identity_even_k(self, delta):
         # for even k, P_k has only even powers, so the closed form
@@ -237,6 +242,13 @@ class TestZReference:
             z_reference(float("nan"), 0.0)
         with pytest.raises(ValueError, match="delta < 2"):
             z_reference(1.0, float("nan"))
+
+    def test_rejects_infinite_arguments(self):
+        # each would end in a quadrature error on NaN integrand values
+        with pytest.raises(ValueError, match="finite g > 0"):
+            z_reference(math.inf, 0.5)
+        with pytest.raises(ValueError, match="finite delta < 2"):
+            z_reference(1.0, -math.inf)
 
 
 class TestStrongCoupling:

@@ -65,6 +65,11 @@ class TestLegendreScaled:
         with pytest.raises(ValueError, match="x >= 1"):
             legendre_scaled(5, float("nan"))
 
+    def test_rejects_inf(self):
+        # the recurrence would return (nan, -4)
+        with pytest.raises(ValueError, match="finite x >= 1"):
+            legendre_scaled(5, math.inf)
+
     def test_mantissa_normalized(self):
         for k in (0, 1, 2, 50):
             for x in (1.0, 1.5, 7.25):

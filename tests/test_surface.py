@@ -53,32 +53,32 @@ def test_parses_as_python_3_10(path):
     ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
 
 
-# public names that no runtime path reads, each kept for the reason given
-RUNTIME_CALLER_ALLOWLIST = {
-    "basis_series_coefficient": "public handle on the I^p_k recurrence borel._basis_series "
-                                "that reexpansion_check runs; its tests pin it",
-}
-
-
 def test_public_names_have_a_runtime_caller():
-    # a name in a module's __all__ must be read somewhere in the package (a Name or
-    # Attribute load outside __init__.py) or be named by the benchmark; formulas that
-    # only tests evaluate live in tests/paper_formulas.py
+    # a name in a module's __all__, or a method defined in the body of an exported
+    # class (dunders aside), must be read somewhere in the package (a Name or
+    # Attribute load outside __init__.py) or be named by the benchmark; formulas
+    # that only tests evaluate live in tests/paper_formulas.py
     used = set()
     exported = []
     for path in sorted(SRC.glob("*.py")):
         if path.name == "__init__.py":
             continue
-        for node in ast.walk(ast.parse(path.read_text())):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 used.add(node.attr)
-        exported += getattr(importlib.import_module(f"anires.{path.stem}"), "__all__", ())
+        names = getattr(importlib.import_module(f"anires.{path.stem}"), "__all__", ())
+        exported += names
+        exported += [item.name for node in tree.body
+                     if isinstance(node, ast.ClassDef) and node.name in names
+                     for item in node.body if isinstance(item, ast.FunctionDef)
+                     and not (item.name.startswith("__") and item.name.endswith("__"))]
     bench = " ".join(p.read_text() for p in (ROOT / "perfbench").glob("*.py"))
     unused = sorted(name for name in exported
                     if name not in used and re.search(rf"\b{name}\b", bench) is None)
-    assert unused == sorted(RUNTIME_CALLER_ALLOWLIST)
+    assert unused == []
 
 
 def test_benchmark_trace_targets_resolve():

@@ -159,7 +159,7 @@ class TestRegroupedAssembly:
     def test_derivative_multiplies_by_the_power(self, qm_table):
         # value and key order; the power 0 term drops out
         W = w_laurent(qm_table, 11, Fraction(1, 10), Fraction(1, 2))
-        given = LaurentInOmega.from_terms({2: 3, 0: Fraction(5, 7), -1: Fraction(-4, 9), -3: 6})
+        given = LaurentInOmega({2: 189, 0: 45, -1: -28, -3: 378}, 63)  # 3, 5/7, -4/9, 6
         for fn in (W, W.derivative(), given):
             expected = [(p - 1, c * p) for p, c in fn.terms.items() if p != 0]
             assert list(fn.derivative().terms.items()) == expected
@@ -169,7 +169,7 @@ class TestRegroupedAssembly:
         # one common denominator, reduced, so equal polynomials compare equal
         fn = LaurentInOmega({1: 4, 0: 0, -2: 10}, 6)
         assert (fn.numerators, fn.denominator) == ({1: 2, 0: 0, -2: 5}, 3)
-        assert fn == LaurentInOmega.from_terms({1: Fraction(2, 3), 0: 0, -2: Fraction(5, 3)})
+        assert fn == LaurentInOmega({1: 2, 0: 0, -2: 5}, 3)
         assert list(fn.terms.items()) == [(1, Fraction(2, 3)), (0, 0), (-2, Fraction(5, 3))]
         with pytest.raises(ValueError, match="positive"):
             LaurentInOmega({1: 1}, 0)
@@ -273,6 +273,12 @@ class TestOptimizeOmega:
                 assert fn.scale(omega) == sum(abs(float(c)) * omega**p
                                               for p, c in fn.terms.items())
 
+    @pytest.mark.parametrize("omega", [0.0, -1.0, math.nan, math.inf])
+    def test_evaluate_names_a_bad_omega(self, qm_table, omega):
+        W = w_laurent(qm_table, 3, Fraction(1, 10), Fraction(1, 2))
+        with pytest.raises(ValueError, match="finite Omega > 0"):
+            W.evaluate(omega)
+
 
 def _from_roots(roots):
     """W with dW/dOmega = prod (Omega - r) over ``roots``."""
@@ -281,7 +287,9 @@ def _from_roots(roots):
         dw = [Fraction(0)] + dw
         for i in range(len(dw) - 1):
             dw[i] -= r * dw[i + 1]
-    return LaurentInOmega.from_terms({i + 1: c / (i + 1) for i, c in enumerate(dw) if c})
+    terms = {i + 1: c / (i + 1) for i, c in enumerate(dw) if c}
+    den = math.lcm(*(c.denominator for c in terms.values()))
+    return LaurentInOmega({p: c.numerator * (den // c.denominator) for p, c in terms.items()}, den)
 
 
 class TestExactIsolation:
@@ -341,41 +349,53 @@ class TestExactIsolation:
         assert [c.omega for c in res.candidates] == pytest.approx(positive, rel=1e-12)
 
 
+def _refinement_grid():
+    """(k, gbar, d) cells for comparing the refinement with the reference."""
+    rng = random.Random(16)
+    cells = [(k, Fraction(rng.randint(1, 100), 50), Fraction(rng.randint(-30, 40), 20))
+             for k in range(1, 13) for _ in range(4)]
+    return cells + [(11, Fraction(1, 10), Fraction(1, 2)),   # criterion 02
+                    (9, Fraction(39, 50), Fraction(-3, 5)),  # the close pair
+                    (1, 150000, 0), (3, 150000, Fraction(1, 2))]
+
+
 class TestCertifiedRefinement:
-    """The Bernstein isolation and bracketed Newton refinement return the
+    """The Bernstein isolation and the refinement from a float guess return the
     floats of the Taylor-shift isolation and 40-step bisection, bit for bit."""
 
     def test_bit_identical_to_bisection_oracle(self, qm_table):
-        rng = random.Random(16)
-        cells = [(k, Fraction(rng.randint(1, 100), 50), Fraction(rng.randint(-30, 40), 20))
-                 for k in range(1, 13) for _ in range(4)]
-        cells += [(11, Fraction(1, 10), Fraction(1, 2)),   # criterion 02
-                  (9, Fraction(39, 50), Fraction(-3, 5)),  # the close pair
-                  (1, 150000, 0), (3, 150000, Fraction(1, 2))]
-        for k, gbar, d in cells:
+        for k, gbar, d in _refinement_grid():
             d1 = w_laurent(qm_table, k, gbar, d).derivative()
             for fn in (d1, d1.derivative()):
                 assert _positive_roots(fn) == positive_roots_bisection(fn), (k, gbar, d)
 
-    @pytest.mark.parametrize("roots, falls_back", [
-        ([Fraction(7, 5), Fraction(7, 5) * (1 + Fraction(1, 10**11))], False),
-        ([Fraction(3, 7) * (1 + i * Fraction(1, 10**11)) for i in range(3)], False),
-        ([1 - Fraction(1, 10**11), 1 + Fraction(1, 10**11)], False),
+    def test_exact_signs_per_root(self, qm_table, monkeypatch):
+        # the side sign of each root comes from its isolating Bernstein piece,
+        # so the refinement spends at least one exact sign per root less than
+        # the 636 that a separate probe of each root's left end took here
+        calls, sign_at = [], vpt._sign_at
+        monkeypatch.setattr(vpt, "_sign_at", lambda *args: calls.append(args) or sign_at(*args))
+        roots = 0
+        for k, gbar, d in _refinement_grid():
+            d1 = w_laurent(qm_table, k, gbar, d).derivative()
+            roots += len(_positive_roots(d1)) + len(_positive_roots(d1.derivative()))
+        assert len(calls) <= 636 - roots
+
+    @pytest.mark.parametrize("roots", [
+        [Fraction(7, 5), Fraction(7, 5) * (1 + Fraction(1, 10**11))],
+        [Fraction(3, 7) * (1 + i * Fraction(1, 10**11)) for i in range(3)],
+        [1 - Fraction(1, 10**11), 1 + Fraction(1, 10**11)],
         # the guess for the upper root of the pair misses by about 2e-8 and
         # gallops to the left end of its interval, the exact root 9/4
-        ([Fraction(2, 3) * (1 + Fraction(1, 10**11)), Fraction(9, 4),
-          Fraction(9, 4) * (1 + Fraction(1, 10**11)), Fraction(31, 6)], True),
+        [Fraction(2, 3) * (1 + Fraction(1, 10**11)), Fraction(9, 4),
+         Fraction(9, 4) * (1 + Fraction(1, 10**11)), Fraction(31, 6)],
     ], ids=["pair", "triple", "pair-around-1", "pair-at-dyadic"])
-    def test_clusters(self, monkeypatch, roots, falls_back):
+    def test_clusters(self, roots):
         # at a relative gap of 1e-11 the float values only carry noise
-        bisections = []
-        bisect = vpt._bisect
-        monkeypatch.setattr(vpt, "_bisect", lambda *args: bisections.append(args) or bisect(*args))
         fn = _from_roots(roots).derivative()
         found = _positive_roots(fn)
         assert found == positive_roots_bisection(fn)
         assert found == pytest.approx([float(r) for r in roots], rel=1e-12)
-        assert bool(bisections) == falls_back
 
     @pytest.mark.parametrize("roots", [
         [1, Fraction(1001, 1000), Fraction(1002, 1000), Fraction(3, 2)],
@@ -393,7 +413,14 @@ class TestCertifiedRefinement:
     @pytest.mark.parametrize("guess", [
         lambda lo, hi: lo, lambda lo, hi: hi, lambda lo, hi: (lo + hi) / 2,
         lambda lo, hi: hi * (1 - 2**-50), lambda lo, hi: 2 * hi + 1,
-    ], ids=["left-end", "right-end", "midpoint", "below-right-end", "outside"])
+        # a guess far below the root starts on a grid finer than the root's
+        # cell, which then drops bits; one a binade above starts on a coarser
+        # grid, which is then halved
+        lambda lo, hi: lo / 3 or 1e-300, lambda lo, hi: 2.0 ** math.frexp(hi)[1],
+        lambda lo, hi: 2.0 ** math.frexp(hi)[1] * (1 - 2**-53),
+        lambda lo, hi: math.nan,
+    ], ids=["left-end", "right-end", "midpoint", "below-right-end", "outside",
+            "far-below", "binade-above", "below-a-power-of-2", "nan"])
     def test_any_guess_gives_the_same_roots(self, qm_table, monkeypatch, guess):
         # the float guess only decides where the exact search starts
         monkeypatch.setattr(vpt, "_newton", lambda f, lo, hi, s: guess(lo, hi))
@@ -403,6 +430,20 @@ class TestCertifiedRefinement:
             assert _positive_roots(fn) == positive_roots_bisection(fn), (k, gbar, d)
         fn = _from_roots([Fraction(1, 8), Fraction(3, 7), 1, Fraction(9, 4)]).derivative()
         assert _positive_roots(fn) == positive_roots_bisection(fn)
+
+    def test_a_root_met_below_the_reference_level(self, monkeypatch):
+        # from the guess 2^-20 the search meets the root r = (2^40 + 2^56 - 1)
+        # / 2^60 exactly, on a grid 16 levels finer than the one where the
+        # bisection stops; the bisection never meets r, and returns the
+        # midpoint of its cell instead
+        r = Fraction(2**40 + 2**56 - 1, 2**60)
+        zeros, sign_at = [], vpt._sign_at
+        monkeypatch.setattr(vpt, "_newton", lambda f, lo, hi, s: 2.0**-20)
+        monkeypatch.setattr(vpt, "_sign_at", lambda *args: sign_at(*args) or zeros.append(args) or 0)
+        fn = _from_roots([r, Fraction(3, 10)]).derivative()
+        found = _positive_roots(fn)
+        assert zeros and found == positive_roots_bisection(fn)
+        assert found[0] != float(r) and found[0] == pytest.approx(float(r), rel=1e-12)
 
 
 class TestAgainstReferenceTable:
