@@ -25,23 +25,30 @@ i+j above 2k (each order raises the degree in r^2 by at most two), for any
 negative index, and for k < n; initialization A^{kn}_{00} = delta_{k0}
 delta_{n0}.
 
-Storage is integer: block (k, n) is a list of rows of Python ints N[i][j]
-(row i ends at j = min(2k-n, 2k-i)) over one denominator D_kn, so that
-A^{kn}_{ij} = N[i][j] / D_kn.  The terms from earlier blocks enter with one
-integer factor per feeding block over Q, the lcm of their denominators; the
-l = k terms multiply A^{0,n-m}_{ij} = 0 for i+j >= 1 and are skipped.  The
-block is then filled with the total degree s = i+j descending from 2k to 1,
-each entry carried over Q T_s with T_s = prod_{t=s}^{2k} 2t, so the loop
-does no gcd; one gcd over the whole block reduces it at the end.  The
-result A is a read-only mapping over these blocks: A[(i, j, k, n)] forms the
-reduced Fraction N[i][j] / D_kn only when it is read.
+Storage is integer and covers only the half j <= i: the potential is
+symmetric under x <-> y, so A^{kn}_{ij} = A^{kn}_{ji}.  Block (k, n) is one
+flat list N of Python ints over one denominator D_kn, A^{kn}_{ij} = N[p] / D_kn
+with j <= i at p = off(i+j) + j, off(s) = sum_{t<s} (t//2 + 1); the entries
+with i above 2k-n are stored as zeros.  Every block shares this layout, so a
+block of lower order is a prefix of one of higher order.  The terms from
+earlier blocks enter with one integer factor per feeding block over Q, the
+lcm of their denominators: each energy term is one pass over the prefix, the
+shift terms go in one antidiagonal at a time, with A_{i-2,j} read as
+A_{j,i-2} where j > i-2; the l = k terms multiply A^{0,n-m}_{ij} = 0 for
+i+j >= 1 and are skipped.  The block is then filled antidiagonal by
+antidiagonal, s = i+j descending from 2k to 1 (A_{i,i+1} is read as
+A_{i+1,i}), each entry carried over Q T_s with T_s = prod_{t=s}^{2k} 2t, so
+the loop does no gcd; one gcd over the whole block reduces it at the end.
+The result A is a read-only mapping over these blocks: A[(i, j, k, n)] forms
+the reduced Fraction N[p] / D_kn of either half only when it is read.
 
-Checks: the x <-> y symmetry N[i][j] == N[j][i] of the potential is
-asserted over every whole block.  The i=j=0 equation has a vanishing left
-side, and since A^{kn}_{00} = 0 for (k, n) != (0, 0) its residual is
-e_kn - e_kn: it restates the definition of e_kn.  It is asserted to be
-exactly zero all the same.  The independent check of the n = 0 column is
-the isotropic radial recursion in the tests.
+Checks: the x <-> y symmetry is built into the layout, so there is nothing
+left to compare at run time; the tests check it against a recursion over the
+full (i, j) square.  The i=j=0 equation has a vanishing left side, and since
+A^{kn}_{00} = 0 for (k, n) != (0, 0) its residual is e_kn - e_kn: it restates
+the definition of e_kn.  It is asserted to be exactly zero all the same.  The
+independent check of the n = 0 column is the isotropic radial recursion in
+the tests.
 """
 
 from __future__ import annotations
@@ -50,41 +57,59 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Dict, List, Tuple
 
-from .series import CoefficientTable
+from .series import CoefficientTable, checked_kmax
 
 __all__ = ["BwState", "build"]
 
 
+def _off(s: int) -> int:
+    """Start of antidiagonal s in a block: sum_{t<s} (t//2 + 1)."""
+    return (s // 2 + 1) * ((s + 1) // 2)
+
+
 class _Wavefunction(Mapping):
-    """A[(i, j, k, n)] = N[i][j] / D_kn over the integer blocks of build.
+    """A[(i, j, k, n)] = N[off(i+j) + min(i, j)] / D_kn over the blocks of build.
 
     Only nonzero entries are keys, in the order the blocks were filled and
-    row by row; a zero, out-of-support or negative index raises KeyError.
+    row by row over the full square; a zero, out-of-support or negative index,
+    or a key that is not a 4-tuple of ints, raises KeyError.
     """
 
-    __slots__ = ("_blocks", "_len")
+    __slots__ = ("_blocks", "_rows")
 
-    def __init__(self, blocks: Dict[Tuple[int, int], Tuple[List[List[int]], int]]):
+    def __init__(self, blocks: Dict[Tuple[int, int], Tuple[List[int], int]], kmax: int):
         self._blocks = blocks
-        self._len = None
+        # flat position of (i, j), row i by row, shared by every block
+        self._rows = [[_off(i + j) + min(i, j) for j in range(2 * kmax + 1 - i)]
+                      for i in range(2 * kmax + 1)]
 
     def __getitem__(self, key):
-        i, j, k, n = key
-        rows, D = self._blocks.get((k, n), ((), 1))
-        if 0 <= i < len(rows) and 0 <= j < len(rows[i]) and rows[i][j]:
-            return Fraction(rows[i][j], D)
+        try:
+            i, j, k, n = key
+            N, D = self._blocks[k, n]
+        except (TypeError, ValueError, KeyError):
+            raise KeyError(key) from None
+        if type(i) is type(j) is type(k) is type(n) is int:
+            if i < j:
+                i, j = j, i
+            if 0 <= j and i <= 2 * k - n and i + j <= 2 * k and (x := N[_off(i + j) + j]):
+                return Fraction(x, D)
         raise KeyError(key)
 
     def __iter__(self):
-        return ((i, j, k, n) for (k, n), (rows, _) in self._blocks.items()
-                for i, row in enumerate(rows) for j, x in enumerate(row) if x)
+        rows = self._rows
+        return ((i, j, k, n) for (k, n), (N, _) in self._blocks.items()
+                for i in range(2 * k - n + 1)
+                for j, x in enumerate(map(N.__getitem__, rows[i][:min(2 * k - n, 2 * k - i) + 1]))
+                if x)
 
     def __len__(self):
-        if self._len is None:  # counted on first use
-            self._len = sum(1 for _ in self)
-        return self._len
+        # each nonzero entry off the diagonal i = j stands for two keys
+        return sum(2 * (len(N) - N.count(0)) - sum(1 for i in range(k + 1) if N[_off(2 * i) + i])
+                   for (k, _), (N, _) in self._blocks.items())
 
 
 @dataclass(frozen=True)
@@ -102,55 +127,55 @@ class BwState:
 
 def build(kmax: int) -> BwState:
     """Run the recursion through order kmax; pure exact arithmetic."""
-    if kmax < 0:
-        raise ValueError("kmax must be >= 0")
-    blocks = {(0, 0): ([[1]], 1)}  # (k, n) -> (rows N, D_kn)
+    kmax = checked_kmax(kmax)
+    blocks = {(0, 0): ([1], 1)}  # (k, n) -> (flat lower half N, D_kn)
     e: Dict[Tuple[int, int], Fraction] = {}
     energies: Dict[Tuple[int, int], Fraction] = {(0, 0): Fraction(1)}
+    C = [(2 * i + 1) * (i + 1) for i in range(2 * kmax + 1)]
     for k in range(1, kmax + 1):
+        zeros = ([0] * _off(2 * k - 1), 1)  # stands in for a shift block k < n or n < 0
         for n in range(k + 1):
-            lim = 2 * k - n
-            # feeding blocks: (numerator, denominator, block, row shift, column shift)
-            feed = [(-v.numerator, v.denominator, (k - l, n - m), 0, 0)
+            # energy terms: (numerator, denominator, feeding block)
+            feed = [(-v.numerator, v.denominator, (k - l, n - m))
                     for (l, m), v in e.items() if l < k and 0 <= n - m <= k - l]
-            if n < k:
-                feed += [(c, 1, (k - 1, n), di, dj)
-                         for c, di, dj in ((1, 2, 0), (1, 0, 2), (2, 1, 1))]
-            if n:
-                feed.append((-1, 1, (k - 1, n - 1), 1, 1))
-            Q = math.lcm(*(d * blocks[src][1] for _, d, src, _, _ in feed))
-            M = [[0] * (lim + 2) for _ in range(lim + 2)]  # Q * external terms, zero-padded
-            for c, d, src, di, dj in feed:
-                rows, D = blocks[src]
-                f = c * (Q // (d * D))
-                for i, row in enumerate(rows, di):
-                    t = M[i]
-                    t[dj:dj + len(row)] = [x + f * y for x, y in zip(t[dj:], row)]
-            T = 1  # T_{s+1}; M[i][j] becomes A_ij * Q * T_s
+            (N1, D1), (N2, D2) = blocks.get((k - 1, n), zeros), blocks.get((k - 1, n - 1), zeros)
+            Q = math.lcm(D1, D2, *(d * blocks[src][1] for _, d, src in feed))
+            M = [0] * _off(2 * k + 2)  # Q * external terms; antidiagonal 2k+1 stays zero
+            for c, d, src in feed:
+                N, D = blocks[src]
+                M[:len(N)] = map(add, M, map((c * (Q // (d * D))).__mul__, N))
+            f1, f2 = Q // D1, Q // D2
+            # A_{i-2,j} + A_{i,j-2} + 2 A_{i-1,j-1} - A^{k-1,n-1}_{i-1,j-1} on antidiagonal
+            # t + 2 from t; at j = h, A_{i-2,j} is read as A_{j,i-2} (zero where t < h)
+            for t in range(2 * k - 1):
+                o, h, o2 = _off(t), t // 2 + 1, _off(t + 2)
+                x, w = N1[o:o + h], N2[o:o + h]
+                a = x + [x[t - h] if t >= h else 0]
+                M[o2:o2 + h + 1] = [m + f1 * (p + q + 2 * r) - f2 * v for m, p, q, r, v in
+                                    zip(M[o2:o2 + h + 1], a, [0, 0] + x, [0] + x, [0] + w)]
+            T = 1  # T_{s+1}; M[off(s) + j] becomes A_ij * Q * T_s
             for s in range(2 * k, 0, -1):
-                for i in range(min(lim, s), max(0, s - lim) - 1, -1):
-                    j, r = s - i, M[i]
-                    r[j] = (r[j] * T + (2 * i + 1) * (i + 1) * M[i + 1][j]
-                            + (2 * j + 1) * (j + 1) * r[j + 1])
+                o, o1, lo, hi = _off(s), _off(s + 1), max(0, s - 2 * k + n), s // 2
+                R = M[o1:o1 + (s + 1) // 2 + 1]  # antidiagonal s+1
+                if s % 2 == 0:
+                    R.append(R[-1])  # A_{i,i+1} = A_{i+1,i} on the diagonal
+                M[o + lo:o + hi + 1] = [m * T + C[s - j] * R[j] + C[j] * R[j + 1]
+                                        for j, m in zip(range(lo, hi + 1), M[o + lo:o + hi + 1])]
                 T *= 2 * s
-            scale = [1, 1]  # T_1 / T_s
-            for s in range(1, 2 * k):
-                scale.append(scale[-1] * 2 * s)
-            N = [[M[i][j] * scale[i + j] for j in range(min(lim, 2 * k - i) + 1)]
-                 for i in range(lim + 1)]
-            del M
-            g = math.gcd(Q * T, *(x for row in N for x in row))
-            N = [[x // g for x in row] for row in N]
+            sc = 1  # T_1 / T_s
+            for s in range(2, 2 * k + 1):
+                sc *= 2 * (s - 1)
+                M[_off(s):_off(s + 1)] = map(sc.__mul__, M[_off(s):_off(s + 1)])
+            g = math.gcd(Q * T, *M)
+            N = [x // g for x in M[:_off(2 * k + 1)]]
             D = Q * T // g
-            assert all(x == N[j][i] for i, row in enumerate(N) for j, x in enumerate(row)), \
-                f"A not symmetric at (k,n)=({k},{n})"
-            e[k, n] = e_kn = Fraction(N[1][0] + N[0][1], D)
+            e[k, n] = e_kn = Fraction(2 * N[1], D)  # A_10 + A_01
             residual = e_kn  # the i = j = 0 row, see the module docstring
             for (l, m), v in e.items():
-                rows, d = blocks.get((k - l, n - m), ([[0]], 1))
-                if rows[0][0]:
-                    residual -= v * Fraction(rows[0][0], d)
+                R, d = blocks.get((k - l, n - m), ([0], 1))
+                if R[0]:
+                    residual -= v * Fraction(R[0], d)
             assert residual == 0, f"i=j=0 identity violated at (k,n)=({k},{n})"
             blocks[k, n] = N, D
             energies[k, n] = -((-1) ** k) * e_kn
-    return BwState(A=_Wavefunction(blocks), energy=CoefficientTable(energies, kmax))
+    return BwState(A=_Wavefunction(blocks, kmax), energy=CoefficientTable(energies, kmax))

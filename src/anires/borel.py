@@ -204,8 +204,8 @@ def basis_integrals(
     sigma*g below SMALL_SIGMA_G each sum is formed from the truncated power
     series of its I_p instead, in ascending p, skipping zero weights.
     """
-    if not g > 0:
-        raise ValueError(f"requires g > 0, got {g}")
+    if not 0 < g < math.inf:
+        raise ValueError(f"requires a finite g > 0, got {g}")
     if not columns:
         return []
     sigma, alpha = float(sigma), float(alpha)
@@ -257,7 +257,7 @@ def basis_integrals(
 def basis_integral(
     spec: BorelBasisSpec, g: float, quad: QuadratureSpec = DEFAULT_SPEC
 ) -> float:
-    """I_p(g) for g > 0, via the w-form integral (or the truncated series
+    """I_p(g) for finite g > 0, via the w-form integral (or the truncated series
     in the small-coupling regime sigma*g < 1e-3)."""
     return basis_integrals(spec.sigma, spec.alpha, [(spec.b0, spec.p, [1.0])], g, quad)[0]
 
@@ -266,8 +266,8 @@ def basis_integral_tform(
     spec: BorelBasisSpec, g: float, quad: QuadratureSpec = DEFAULT_SPEC
 ) -> float:
     """I_p(g) via the original Borel t-integral; cross-check for the w-form."""
-    if not g > 0:
-        raise ValueError(f"requires g > 0, got {g}")
+    if not 0 < g < math.inf:
+        raise ValueError(f"requires a finite g > 0, got {g}")
     b0 = float(spec.b0)
     alpha = float(spec.alpha)
     sigma = float(spec.sigma)

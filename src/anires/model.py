@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .quadrature import DEFAULT_SPEC, QuadratureSpec, integrate_semiline
-from .series import CoefficientTable, LargeOrderParams, SignedLog
+from .series import CoefficientTable, LargeOrderParams, SignedLog, checked_kmax
 from .specfun import bessel_i0_scaled, legendre_scaled
 
 __all__ = [
@@ -75,6 +75,7 @@ class ModelCoefficients:
 
     @classmethod
     def build(cls, kmax: int) -> "ModelCoefficients":
+        kmax = checked_kmax(kmax)
         entries = {(k, n): z_coeff(k, n) for k in range(kmax + 1) for n in range(k + 1)}
         return cls(CoefficientTable(entries, kmax))
 

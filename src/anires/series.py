@@ -26,6 +26,7 @@ An application states what the resummation reads of that growth in a
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
@@ -57,6 +58,17 @@ _CROSSOVER_SLOPE = -0.75
 _ZERO = Fraction(0)
 
 
+def checked_kmax(kmax) -> int:
+    """kmax as an int >= 0; anything else raises an error that names kmax."""
+    try:
+        kmax = operator.index(kmax)
+    except TypeError:
+        raise TypeError(f"kmax must be an int, got {kmax!r}") from None
+    if kmax < 0:
+        raise ValueError("kmax must be >= 0")
+    return kmax
+
+
 class CoefficientTable:
     """Triangular table (k, n) -> exact rational, 0 <= n <= k <= kmax.
 
@@ -64,8 +76,7 @@ class CoefficientTable:
     """
 
     def __init__(self, entries: Mapping[Tuple[int, int], Fraction], kmax: int):
-        if kmax < 0:
-            raise ValueError("kmax must be >= 0")
+        kmax = checked_kmax(kmax)
         table: Dict[Tuple[int, int], Fraction] = {}
         for (k, n), value in entries.items():
             if not (0 <= n <= k <= kmax):

@@ -6,7 +6,10 @@ runtime reads only ``LargeOrderParams`` (sigma, b0 offset, alpha); these
 formulas are what the tests check those constants and the exact tables
 against.  The variational energy W_k summed term by term over the
 reexpansion coefficients eps_l, as the paper writes it, is what the tests
-check the regrouped ``anires.vpt.w_laurent`` against.  Conventions follow
+check the regrouped ``anires.vpt.w_laurent`` against.  The Bender-Wu
+difference equation of the ``anires.benderwu`` docstring, solved over the full
+(i, j) square in plain Fractions, is what the tests check the half-block
+recursion and its x <-> y symmetry against.  Conventions follow
 ``anires.model`` (Z = sum Z_kn g^k d^n) and ``anires.qm``
 (E = sum E_kn (g/4)^k (2d)^n).
 """
@@ -42,6 +45,39 @@ def truncated_double_sum(table, g, delta, K):
     total = sum(sum(table.entry(k, n) * dq**n for n in range(k + 1)) * gq**k
                 for k in range(K + 1))
     return float(total) if isinstance(g, float) or isinstance(delta, float) else total
+
+
+def bender_wu_wavefunction(kmax):
+    """A[(i, j, k, n)] for every nonzero A^{kn}_{ij} with k <= kmax, and the
+    energies E[(k, n)], from the difference equation of ``anires.benderwu``
+    taken as written, over every 0 <= i, j with i + j <= 2k (no support bound).
+
+    The l = k energy terms multiply A^{0,n-m}_{ij} = 0 for i + j >= 1.
+    """
+    A = {(0, 0, 0, 0): Fraction(1)}
+    e = {}
+
+    def a(i, j, k, n):
+        return A.get((i, j, k, n), 0)
+
+    for k in range(1, kmax + 1):
+        for n in range(k + 1):
+            for s in range(2 * k, 0, -1):
+                for i in range(s + 1):
+                    j = s - i
+                    rhs = ((2 * i + 1) * (i + 1) * a(i + 1, j, k, n)
+                           + (2 * j + 1) * (j + 1) * a(i, j + 1, k, n)
+                           + a(i - 2, j, k - 1, n) + a(i, j - 2, k - 1, n)
+                           + 2 * a(i - 1, j - 1, k - 1, n) - a(i - 1, j - 1, k - 1, n - 1))
+                    rhs -= sum(e[l, 0] * a(i, j, k - l, n) for l in range(1, k))
+                    rhs -= sum(e[l, m] * a(i, j, k - l, n - m)
+                               for m in range(1, n + 1) for l in range(m, k))
+                    if rhs:
+                        A[i, j, k, n] = rhs / (2 * s)
+            e[k, n] = a(1, 0, k, n) + a(0, 1, k, n)
+    E = {(k, n): -((-1) ** k) * v for (k, n), v in e.items()}
+    E[0, 0] = Fraction(1)
+    return A, E
 
 
 def _cut_sum(prefactor, u, offset, delta, n_max):

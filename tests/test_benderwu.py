@@ -135,6 +135,33 @@ def test_kmax_zero():
     assert len(state.energy) == 1
 
 
+@pytest.mark.parametrize("kmax", [2.5, None, "3", Fraction(3)])
+def test_kmax_not_an_int_is_named(kmax):
+    with pytest.raises(TypeError, match="kmax must be an int"):
+        benderwu_build(kmax)
+
+
+def test_kmax_by_index_protocol():
+    # any integer type is taken by its index; a negative order stays a ValueError
+    assert benderwu_build(np.int64(3)).energy.items() == benderwu_build(3).energy.items()
+    with pytest.raises(ValueError, match="kmax must be >= 0"):
+        benderwu_build(-1)
+
+
+def test_full_square_recursion_oracle():
+    # the difference equation in plain Fractions over every (i, j), no half
+    # block and no support bound: x <-> y symmetric, and equal to build key
+    # for key and value (every block is independent of kmax, so 8 covers 0..8)
+    from paper_formulas import bender_wu_wavefunction
+
+    A, E = bender_wu_wavefunction(8)
+    assert all(A.get((j, i, k, n)) == v for (i, j, k, n), v in A.items())
+    state = benderwu_build(8)
+    assert set(state.A) == set(A) and len(state.A) == len(A) == 3061
+    assert all(state.A[key] == v for key, v in A.items())
+    assert dict(state.energy.items()) == E
+
+
 def isotropic_energies(kmax):
     """E_k0 from the radial problem of the isotropic oscillator (d = 0).
 
@@ -218,12 +245,27 @@ class TestWavefunctionView:
         (3, 3, 2, 0),  # i + j past 2k
         (-1, 0, 3, 1), (0, -1, 3, 1), (0, 0, -1, 0),  # negative indices
         (0, 0, 1, 2), (0, 0, 13, 0),  # k < n, k past kmax
+        "x", "abcd", 5, None, (0, 0, 0), (0, 0, 0, 0, 0),  # not a 4-tuple of ints
+        (0.0, 0, 0, 0), (1, 0, 1, 0.5), ("0", 0, 0, 0), ([0], 0, 0, 0),
     ])
     def test_missing_keys_raise(self, bw_state, key):
         A = bw_state.A
         with pytest.raises(KeyError):
             A[key]
         assert key not in A and A.get(key) is None
+
+    def test_key_order(self, bw_state):
+        # blocks in the order they are filled (k, then n), each row by row
+        keys = list(bw_state.A)
+        assert keys == sorted(keys, key=lambda key: (key[2], key[3], key[0], key[1]))
+
+    def test_stores_only_the_lower_half(self, bw_state):
+        # the x <-> y symmetric half of each block, i >= j, as Python ints:
+        # sum_k (k+1)^3 = 8,281 at kmax 12 (13,013 with both halves)
+        def ints(x):
+            return 1 if type(x) is int else sum(map(ints, x))
+
+        assert sum(ints(N) for N, _ in bw_state.A._blocks.values()) <= 8300
 
     def test_read_only(self, bw_state):
         A = bw_state.A

@@ -194,11 +194,14 @@ class TestBasisIntegral:
         assert abs(v4 / v3 - 1.0) < 0.02
 
     def test_invalid_g(self):
-        for g in (-1.0, 0.0, float("nan")):
-            with pytest.raises(ValueError, match="g > 0"):
+        # inf passes g > 0, so finiteness is its own condition
+        for g in (-1.0, 0.0, float("nan"), math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"finite g > 0, got {g}"):
                 basis_integral(model_spec(0, 0), g)
-            with pytest.raises(ValueError, match="g > 0"):
+            with pytest.raises(ValueError, match=f"finite g > 0, got {g}"):
                 basis_integral_tform(model_spec(0, 0), g)
+            with pytest.raises(ValueError, match=f"finite g > 0, got {g}"):
+                basis_integrals(Fraction(4), Fraction(-1, 2), [(1, 0, [1.0])], g)
 
 
 class TestApproximant:

@@ -5,6 +5,7 @@ import mpmath
 import pytest
 
 from anires import (
+    ModelCoefficients,
     QuadratureSpec,
     integrate_semiline,
     legendre_scaled,
@@ -82,6 +83,12 @@ class TestZCoeff:
     def test_negative_raises(self):
         with pytest.raises(ValueError):
             z_coeff(-1, 0)
+
+
+@pytest.mark.parametrize("kmax", [2.5, None, "3"])
+def test_build_kmax_not_an_int_is_named(kmax):
+    with pytest.raises(TypeError, match="kmax must be an int"):
+        ModelCoefficients.build(kmax)
 
 
 class TestZCoeffDelta:
