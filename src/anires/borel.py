@@ -199,10 +199,11 @@ def basis_integrals(
     polynomial ``sum_i weights[i] w^i`` times the factor all its p share.  All
     columns are integrated on one node set: per node the factor common to all
     of them is formed once in logs (relative to the first column's b0), each
-    column takes one exp and one Horner pass over its weights.  A refinement
-    level is accepted only when every column sum meets the tolerance.  For
-    sigma*g below SMALL_SIGMA_G each sum is formed from the truncated power
-    series of its I_p instead, in ascending p, skipping zero weights.
+    column takes one exp and, unless it underflows to 0.0, one Horner pass
+    over its weights.  A refinement level is accepted only when every column
+    sum meets the tolerance.  For sigma*g below SMALL_SIGMA_G each sum is
+    formed from the truncated power series of its I_p instead, in ascending
+    p, skipping zero weights.
     """
     if not 0 < g < math.inf:
         raise ValueError(f"requires a finite g > 0, got {g}")
@@ -244,11 +245,15 @@ def basis_integrals(
                   - 4.0 * w / (one_m * one_m * sg))
         out: List[float] = []
         for offset, c_w, c_1m, top, lower in terms:
+            # exp underflows to 0.0 below about -745, as the tails need
+            factor = exp(common + offset + c_w * ln_w - c_1m * ln_1m)
+            if factor == 0.0:
+                out.append(0.0)
+                continue
             poly = top
             for weight in lower:
                 poly = poly * w + weight
-            # exp underflows to 0.0 below about -745, as the tails need
-            out.append(exp(common + offset + c_w * ln_w - c_1m * ln_1m) * poly)
+            out.append(factor * poly)
         return out
 
     return integrate_unit(integrand, quad).value
@@ -270,20 +275,15 @@ def basis_integral_tform(
         raise ValueError(f"requires a finite g > 0, got {g}")
     b0 = float(spec.b0)
     alpha = float(spec.alpha)
-    sigma = float(spec.sigma)
+    sg = float(spec.sigma) * g
     p = spec.p
-    ln_norm = -math.lgamma(b0 + 1.0)
+    # ln of t^b0 ((1 + root)/2)^{2 alpha} (sg t)^p / (1 + root)^{2p} / Gamma(b0+1),
+    # root = sqrt(1 + sg t), with the powers of t and of 1 + root gathered
+    const = p * math.log(sg) - 2.0 * alpha * math.log(2.0) - math.lgamma(b0 + 1.0)
+    c_t, c_root = b0 + p, 2.0 * (alpha - p)
 
     def integrand(t: float) -> float:
-        z = sigma * g * t
-        root = math.sqrt(1.0 + z)
-        ln_val = (
-            ln_norm
-            - t
-            + b0 * math.log(t)
-            + 2.0 * alpha * math.log(0.5 + 0.5 * root)
-            + (p * math.log(z) - 2.0 * p * math.log1p(root) if p else 0.0)
-        )
+        ln_val = const - t + c_t * math.log(t) + c_root * math.log1p(math.sqrt(1.0 + sg * t))
         if ln_val < -745.0:
             return 0.0
         return math.exp(ln_val)

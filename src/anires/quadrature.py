@@ -14,10 +14,15 @@ double-exponential change of variable:
 The trapezoid step starts at ``h = 1`` and is halved per refinement level
 ("variable doubling").  The rules are nested: each level keeps the previous
 level's sum and evaluates only the new odd nodes (Takahashi & Mori 1974;
-Bailey, Jeyabalan & Li, Exp. Math. 14, 2005).  Convergence is declared when
-two successive levels agree within ``max(abs_tol, rel_tol * |I|)``, i.e.
-whichever tolerance is looser, but never before ``h = 1/4``; the achieved
-level difference is reported as the error estimate.
+Bailey, Jeyabalan & Li, Exp. Math. 14, 2005).  The nodes (x, x'(t)) of each
+transform, level and side are tabulated for the life of the process; a sweep
+reads its table in order and computes a node only when it walks past the
+table's end, so the tables hold just the nodes ever visited.
+
+Convergence is declared when two successive levels agree within
+``max(abs_tol, rel_tol * |I|)``, i.e. whichever tolerance is looser, but
+never before ``h = 1/4``; the achieved level difference is reported as the
+error estimate.
 
 An integrand may return a list of floats instead of a float.  All components
 are then integrated on one node set, a level is accepted only when every
@@ -28,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import count
 from operator import add, mul
 from typing import Callable, List, NamedTuple, Optional, Sequence, Union
 
@@ -48,6 +54,9 @@ _T_MIN_SWEEP = 2.0
 # No level coarser than h = 1/4 is accepted: a narrow peak can fall between the
 # nodes of both h = 1 and h = 1/2, whose sums then agree on a wrong value.
 _MIN_LEVEL = 2
+# (node, level, sign) -> [(x, x'(t), |t| >= _T_MIN_SWEEP), ...] in sweep order,
+# closed by None where the transform ends; node -> (x, x'(0)) for the centre
+_NODES: dict = {}
 
 
 @dataclass(frozen=True)
@@ -124,9 +133,10 @@ def _semiline_node(t: float):
     return x, (math.pi / 2.0) * math.cosh(t) * x
 
 
-def _side_sweep(node, f, h: float, k: int, stride: int, sign: int) -> List[float]:
-    """Per-component sums of x'(t) f(x(t)) over t = sign*k*h, stepping k by
-    ``stride``, until the tail of every component has died.
+def _side_sweep(node, f, level: int, sign: int) -> List[float]:
+    """Per-component sums of x'(t) f(x(t)) over the new nodes of ``level`` on
+    one side, t = sign*k*2^-level for k = 1, 1 + stride, ..., until the tail
+    of every component has died.
 
     A side stops once |t| is past the minimum sweep length and, for every
     component, a nonzero contribution has been seen and the running
@@ -135,21 +145,25 @@ def _side_sweep(node, f, h: float, k: int, stride: int, sign: int) -> List[float
     are skipped over.  The first node lies at |t| <= 1, inside both
     transforms' range, so every side contributes at least one node.
     """
+    table = _NODES.setdefault((node, level, sign), [])
+    h = 0.5**level
+    stride = 2 if level else 1
     weights: List[float] = []
     rows: List[Sequence[float]] = []
     largest: Optional[List[float]] = None
-    while True:
-        t = sign * k * h
-        if abs(t) > _T_MAX:
+    for i in count():
+        if i == len(table):
+            t = sign * (1 + stride * i) * h
+            nw = node(t) if abs(t) <= _T_MAX else None
+            table.append(None if nw is None else (*nw, abs(t) >= _T_MIN_SWEEP))
+        entry = table[i]
+        if entry is None:
             break
-        nw = node(t)
-        if nw is None:
-            break
-        x, dxdt = nw
+        x, dxdt, far = entry
         row = f(x)
         weights.append(dxdt)
         rows.append(row)
-        if abs(t) >= _T_MIN_SWEEP:
+        if far:
             mags = [abs(dxdt * v) for v in row]
             if largest is None:
                 largest = [max(map(abs, map(mul, weights, col))) for col in zip(*rows)]
@@ -157,7 +171,6 @@ def _side_sweep(node, f, h: float, k: int, stride: int, sign: int) -> List[float
                 largest = list(map(max, largest, mags))
             if all(top > 0.0 and mag <= 1e-18 * top for mag, top in zip(mags, largest)):
                 break
-        k += stride
     return [sum(map(mul, weights, col)) for col in zip(*rows)]
 
 
@@ -169,7 +182,9 @@ def _integrate(node, f, spec: QuadratureSpec, name: str) -> QuadResult:
     L >= _MIN_LEVEL and every component agrees with level L - 1 within
     ``max(abs_tol, rel_tol * |I|)``.
     """
-    x0, dx0 = node(0.0)
+    if node not in _NODES:
+        _NODES[node] = node(0.0)
+    x0, dx0 = _NODES[node]
     first = f(x0)
     vector = isinstance(first, (list, tuple))
     if not vector:
@@ -188,7 +203,7 @@ def _integrate(node, f, spec: QuadratureSpec, name: str) -> QuadResult:
         if level:
             h *= 0.5
         for sign in (1, -1):
-            raw = list(map(add, raw, _side_sweep(node, f, h, 1, 2 if level else 1, sign)))
+            raw = list(map(add, raw, _side_sweep(node, f, level, sign)))
         value = [h * r for r in raw]
         if prev is not None:
             err = [abs(v - q) for v, q in zip(value, prev)]

@@ -9,15 +9,17 @@ reexpansion coefficients eps_l, as the paper writes it, is what the tests
 check the regrouped ``anires.vpt.w_laurent`` against.  The Bender-Wu
 difference equation of the ``anires.benderwu`` docstring, solved over the full
 (i, j) square in plain Fractions, is what the tests check the half-block
-recursion and its x <-> y symmetry against.  Conventions follow
-``anires.model`` (Z = sum Z_kn g^k d^n) and ``anires.qm``
+recursion and its x <-> y symmetry against.  The Borel t-integral of the
+``anires.borel`` docstring, its logarithm summed term by term as written, is
+what the tests check the regrouped ``basis_integral_tform`` against.
+Conventions follow ``anires.model`` (Z = sum Z_kn g^k d^n) and ``anires.qm``
 (E = sum E_kn (g/4)^k (2d)^n).
 """
 
 import math
 from fractions import Fraction
 
-from anires import SignedLog, generalized_binomial, z_coeff
+from anires import SignedLog, generalized_binomial, integrate_semiline, z_coeff
 
 
 def large_order_estimate(params, gamma, k, n, gamma_form=False):
@@ -293,3 +295,20 @@ def positive_roots_bisection(fn):
             u, e = 2 * u + 1, e + 1
         exact.append((u, e))
     return sorted(math.ldexp(u, m - e) for u, e in exact)
+
+
+def basis_integral_four_logs(spec, g, quad):
+    """I_p(g) from the Borel t-integral of the ``anires.borel`` docstring, the
+    log of each factor taken as written: e^{-t}, t^{b0} / Gamma(b0+1),
+    ((1 + root)/2)^{2 alpha} and (sigma g t)^p / (1 + root)^{2p}."""
+    b0, alpha, sigma, p = float(spec.b0), float(spec.alpha), float(spec.sigma), spec.p
+    ln_norm = -math.lgamma(b0 + 1.0)
+
+    def integrand(t):
+        z = sigma * g * t
+        root = math.sqrt(1.0 + z)
+        ln_val = (ln_norm - t + b0 * math.log(t) + 2.0 * alpha * math.log(0.5 + 0.5 * root)
+                  + (p * math.log(z) - 2.0 * p * math.log1p(root) if p else 0.0))
+        return 0.0 if ln_val < -745.0 else math.exp(ln_val)
+
+    return integrate_semiline(integrand, quad).value

@@ -274,8 +274,3 @@ class TestWavefunctionView:
         with pytest.raises(TypeError):
             del A[(0, 0, 0, 0)]
         assert A[(0, 0, 0, 0)] == 1
-
-    def test_xy_symmetry(self, bw_state):
-        A = bw_state.A
-        for i, j, k, n in A:
-            assert A[(i, j, k, n)] == A[(j, i, k, n)], (i, j, k, n)

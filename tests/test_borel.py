@@ -29,6 +29,7 @@ from anires.model import MODEL_ALPHA
 from anires.qm import QM_ALPHA
 from anires.quadrature import DEFAULT_SPEC
 from anires.specfun import generalized_binomial
+from paper_formulas import basis_integral_four_logs
 
 TIGHT = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-12, max_refinements=12)
 
@@ -177,6 +178,20 @@ class TestBasisIntegral:
             wv = basis_integral(spec, g, TIGHT)
             tv = basis_integral_tform(spec, g, TIGHT)
             assert wv == pytest.approx(tv, rel=1e-8), (p, n, g)
+
+    @pytest.mark.parametrize("params", [qm_large_order_params(), model_large_order_params()],
+                             ids=["qm", "model"])
+    def test_t_form_equals_four_log_integrand(self, params):
+        # the regrouped t-integrand (two logs per node) against the docstring's
+        # factors, one log each, from below the series switch to g = 1e5
+        for p in (0, 1, 2, 5, 8, 12):
+            for n in sorted({0, p // 2, p}):
+                spec = BorelBasisSpec(p=p, b0=n + params.b0_offset,
+                                      alpha=Fraction(params.alpha), sigma=params.sigma)
+                for i in range(9):
+                    g = 2.6e-4 * (1e5 / 2.6e-4) ** (i / 8)
+                    want = basis_integral_four_logs(spec, g, DEFAULT_SPEC)
+                    assert basis_integral_tform(spec, g) == pytest.approx(want, rel=1e-12), (p, n, g)
 
     def test_isotropic_resummation_is_exact_function(self):
         # a_00 I_00(g) equals the reference integral identically (the basis

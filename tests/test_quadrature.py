@@ -3,6 +3,7 @@ import math
 import pytest
 
 from anires import QuadratureError, QuadratureSpec, integrate_semiline, integrate_unit
+from anires import quadrature
 
 TIGHT = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-12, max_refinements=12)
 
@@ -125,3 +126,70 @@ def test_vector_nonconvergence_raises_with_lists():
     with pytest.raises(QuadratureError) as err:
         integrate_unit(lambda w: [1.0, math.sin(50.0 / (w + 0.01))], spec)
     assert len(err.value.best) == len(err.value.error) == 2
+
+
+def sweep_tables():
+    """The per-sweep node tables, keyed (node, level, sign); the centre
+    entries are keyed by the node function alone."""
+    return {key: table for key, table in quadrature._NODES.items() if isinstance(key, tuple)}
+
+
+@pytest.mark.parametrize("integrate,name,f", [
+    (integrate_unit, "_unit_node", lambda w: w**-0.5),
+    (integrate_semiline, "_semiline_node", lambda t: t**3 * math.exp(-t)),
+])
+def test_second_integral_reads_the_node_tables(monkeypatch, integrate, name, f):
+    node = getattr(quadrature, name)
+    calls = []
+
+    def counted(t):
+        calls.append(t)
+        return node(t)
+
+    monkeypatch.setattr(quadrature, name, counted)
+    monkeypatch.setattr(quadrature, "_NODES", {})
+    first = integrate(f, TIGHT)
+    assert len(calls) > 50
+    calls.clear()
+    assert integrate(f, TIGHT) == first
+    assert calls == []
+
+
+def test_tables_hold_the_sweep_nodes(monkeypatch):
+    monkeypatch.setattr(quadrature, "_NODES", {})
+    unit = integrate_unit(lambda w: 1.0, TIGHT)
+    integrate_semiline(lambda t: t * math.exp(-t * t), TIGHT)
+    for node in (quadrature._unit_node, quadrature._semiline_node):
+        assert quadrature._NODES[node] == node(0.0)
+    tables = sweep_tables()
+    for (node, level, sign), table in tables.items():
+        stride = 2 if level else 1
+        for i, entry in enumerate(table):
+            t = sign * (1 + stride * i) * 2.0**-level
+            if entry is None:  # the edge marker closes a table
+                assert i == len(table) - 1
+                assert abs(t) > quadrature._T_MAX or node(t) is None
+            else:
+                assert entry == (*node(t), abs(t) >= quadrature._T_MIN_SWEEP)
+    # w = 1 rounds off before the tail of a constant dies, so that side ends at the edge
+    for level in range(unit.levels + 1):
+        assert tables[(quadrature._unit_node, level, 1)][-1] is None
+
+
+def test_tables_grow_only_with_the_sweeps(monkeypatch):
+    # a non-converging integral sweeps every level up to the budget; building each
+    # level's table out to the edge would hold about 94,000 nodes here
+    monkeypatch.setattr(quadrature, "_NODES", {})
+    calls = []
+
+    def f(w):
+        calls.append(w)
+        return math.sin(50.0 / (w + 0.01))
+
+    with pytest.raises(QuadratureError):
+        integrate_unit(f, QuadratureSpec(abs_tol=1e-16, rel_tol=1e-16, max_refinements=12))
+    tables = sweep_tables().values()
+    nodes = sum(entry is not None for table in tables for entry in table)
+    assert nodes + 1 == len(calls)  # one node per integrand call, the centre kept apart
+    assert all(None not in table[:-1] for table in tables)
+    assert len(tables) == 2 * 13
