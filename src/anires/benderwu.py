@@ -37,18 +37,20 @@ shift terms go in one antidiagonal at a time, with A_{i-2,j} read as
 A_{j,i-2} where j > i-2; the l = k terms multiply A^{0,n-m}_{ij} = 0 for
 i+j >= 1 and are skipped.  The block is then filled antidiagonal by
 antidiagonal, s = i+j descending from 2k to 1 (A_{i,i+1} is read as
-A_{i+1,i}), each entry carried over Q T_s with T_s = prod_{t=s}^{2k} 2t, so
-the loop does no gcd; one gcd over the whole block reduces it at the end.
-The result A is a read-only mapping over these blocks: A[(i, j, k, n)] forms
-the reduced Fraction N[p] / D_kn of either half only when it is read.
+A_{i+1,i}), all over Q T with T = prod_{t=1}^{2k} 2t = 4^k (2k)! (one T per
+order), so the loop does no gcd and one gcd reduces the block at the end.
+An entry on antidiagonal s is 2s A_ij Q T // 2s, an exact division: A_ij Q
+prod_{t=s}^{2k} 2t is an integer (by induction from s = 2k), and T is that
+product times prod_{t<s} 2t.  The result A is a read-only mapping over the
+blocks; A[(i, j, k, n)] is formed as a reduced Fraction only when read.
 
-Checks: the x <-> y symmetry is built into the layout, so there is nothing
-left to compare at run time; the tests check it against a recursion over the
-full (i, j) square.  The i=j=0 equation has a vanishing left side, and since
-A^{kn}_{00} = 0 for (k, n) != (0, 0) its residual is e_kn - e_kn: it restates
-the definition of e_kn.  It is asserted to be exactly zero all the same.  The
-independent check of the n = 0 column is the isotropic radial recursion in
-the tests.
+Checks: the x <-> y symmetry is built into the layout; the tests check it
+against a recursion over the full (i, j) square.  The i=j=0 row is not
+evaluated: its left side vanishes and A^{kn}_{00} = 0 off (k, n) = (0, 0) (the
+fill stops at s = 1, the shift terms start at s = 2, the energy terms feed from
+blocks k-l >= 1), so its residual e_kn - e_kn A^{00}_{00} is identically 0; the
+tests check that A^{kn}_{00} vanishes.  The independent check of the n = 0
+column is the isotropic radial recursion in the tests.
 """
 
 from __future__ import annotations
@@ -134,6 +136,7 @@ def build(kmax: int) -> BwState:
     C = [(2 * i + 1) * (i + 1) for i in range(2 * kmax + 1)]
     for k in range(1, kmax + 1):
         zeros = ([0] * _off(2 * k - 1), 1)  # stands in for a shift block k < n or n < 0
+        T = math.factorial(2 * k) << (2 * k)  # M[off(s) + j] becomes A_ij * Q * T
         for n in range(k + 1):
             # energy terms: (numerator, denominator, feeding block)
             feed = [(-v.numerator, v.denominator, (k - l, n - m))
@@ -153,29 +156,17 @@ def build(kmax: int) -> BwState:
                 a = x + [x[t - h] if t >= h else 0]
                 M[o2:o2 + h + 1] = [m + f1 * (p + q + 2 * r) - f2 * v for m, p, q, r, v in
                                     zip(M[o2:o2 + h + 1], a, [0, 0] + x, [0] + x, [0] + w)]
-            T = 1  # T_{s+1}; M[off(s) + j] becomes A_ij * Q * T_s
             for s in range(2 * k, 0, -1):
                 o, o1, lo, hi = _off(s), _off(s + 1), max(0, s - 2 * k + n), s // 2
                 R = M[o1:o1 + (s + 1) // 2 + 1]  # antidiagonal s+1
                 if s % 2 == 0:
                     R.append(R[-1])  # A_{i,i+1} = A_{i+1,i} on the diagonal
-                M[o + lo:o + hi + 1] = [m * T + C[s - j] * R[j] + C[j] * R[j + 1]
+                M[o + lo:o + hi + 1] = [(m * T + C[s - j] * R[j] + C[j] * R[j + 1]) // (2 * s)
                                         for j, m in zip(range(lo, hi + 1), M[o + lo:o + hi + 1])]
-                T *= 2 * s
-            sc = 1  # T_1 / T_s
-            for s in range(2, 2 * k + 1):
-                sc *= 2 * (s - 1)
-                M[_off(s):_off(s + 1)] = map(sc.__mul__, M[_off(s):_off(s + 1)])
             g = math.gcd(Q * T, *M)
             N = [x // g for x in M[:_off(2 * k + 1)]]
             D = Q * T // g
             e[k, n] = e_kn = Fraction(2 * N[1], D)  # A_10 + A_01
-            residual = e_kn  # the i = j = 0 row, see the module docstring
-            for (l, m), v in e.items():
-                R, d = blocks.get((k - l, n - m), ([0], 1))
-                if R[0]:
-                    residual -= v * Fraction(R[0], d)
-            assert residual == 0, f"i=j=0 identity violated at (k,n)=({k},{n})"
             blocks[k, n] = N, D
             energies[k, n] = -((-1) ** k) * e_kn
     return BwState(A=_Wavefunction(blocks, kmax), energy=CoefficientTable(energies, kmax))

@@ -226,10 +226,10 @@ def wavefunction_digest(A):
 class TestWavefunctionView:
     # A is a read-only Mapping over the integer blocks; each value is formed when read
 
-    @pytest.mark.parametrize("K", [12, 13])
+    @pytest.mark.parametrize("K", [12, 13, 15])
     def test_digest_matches_benchmark_reference(self, bw_state, K):
         # the benderwu.A:K references, recorded from the eager Fraction dict and
-        # read here as they are
+        # read here as they are; K = 15 has the largest denominator 4^k (2k)! of them
         refs = json.loads((PERFBENCH / "reference" / "exact.json").read_text())
         state = bw_state if K == 12 else benderwu_build(K)
         assert wavefunction_digest(state.A) == refs[f"benderwu.A:{K}"]
@@ -238,6 +238,13 @@ class TestWavefunctionView:
         A = bw_state.A
         assert len(A) == len(list(A)) == 12923
         assert A[(0, 0, 0, 0)] == 1
+
+    def test_ground_entry_only_at_order_zero(self, bw_state):
+        # build leaves the i = j = 0 row unevaluated: its residual e_kn - e_kn A^{00}_{00}
+        # vanishes because A^{kn}_{00} = 0 for every other (k, n)
+        A = bw_state.A
+        assert A[(0, 0, 0, 0)] == 1
+        assert [(k, n) for k in range(13) for n in range(k + 1) if (0, 0, k, n) in A] == [(0, 0)]
 
     @pytest.mark.parametrize("key", [
         (0, 0, 1, 0),  # A^{kn}_00 = 0 off (0, 0): stored, but zero

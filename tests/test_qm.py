@@ -113,6 +113,25 @@ class TestLargeOrderEstimate:
         assert qm_estimate(12, 0).sign == -1
         assert qm_estimate(12, 1).sign == 1
 
+    @pytest.mark.parametrize("n, bound", [(0, 5e-2), (1, 5e-2), (2, 5e-2), (3, 5e-2),
+                                          (4, 5e-2), (5, 1e-1)])
+    def test_richardson_limit_is_gamma_n(self, bw_state_20, n, bound):
+        # r_k = E_kn / (gamma_n (-3)^k (k+n)!) -> 1, extrapolated by Richardson of
+        # order m = 4 in 1/k ending at k = K = 20 (Bender & Orszag, sec. 8.1).
+        # |estimate - 1| measures 2.5e-2, 2.4e-2, 1.4e-2, 4.6e-3, 9.5e-3 and 4.4e-2
+        # for n = 0..5; the bounds are these with a margin.  B(n+1/2, n+1) in place
+        # of B(n+1/2, n+1/2) reads >= 0.37 off, and gamma_n of flipped sign at odd
+        # n reads -2.
+        e, m, K = bw_state_20.energy, 4, 20
+
+        def r(k):
+            return float(e.entry(k, n) / ((-3) ** k * math.factorial(k + n))) / qm_gamma_n(n)
+
+        estimate = sum(r(k) * k**m * (-1) ** (K - k)
+                       / (math.factorial(k - K + m) * math.factorial(K - k))
+                       for k in range(K - m, K + 1))
+        assert abs(estimate - 1.0) <= bound, estimate
+
 
 class TestResummation:
     def test_reexpansion_exact_zero_through_N12(self, qm_table):

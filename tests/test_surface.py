@@ -47,6 +47,13 @@ def test_runtime_imports_only_stdlib():
     assert foreign == []
 
 
+def test_no_assert_statements():
+    # python -O strips assert statements, so a check at run time must raise
+    asserts = [f"{path.name}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Assert)]
+    assert asserts == []
+
+
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_parses_as_python_3_10(path):
     # pyproject.toml declares requires-python >= 3.10
