@@ -20,7 +20,23 @@ The expansion coefficients come out triangular and fully explicit:
 
 and are computed in exact rational arithmetic whenever sigma, alpha, b0 and
 the c_k are rational (the (N+1) x (N+1) triangle is badly conditioned in
-floats).  For evaluation the integral is transformed to the unit interval via
+floats).  The triangle and its check, the power series sum_p a_p I^p_k of
+the basis against c_k, run in Python ints over one denominator per order.
+With sigma = sn/sd, b0 = bn/bd and 2 alpha = an/ad, column n carries a_p,
+and the check's sum at order k, over
+
+    D_p = L sn^p (bn+bd)(bn+2bd)...(bn+p bd) ad^(p-n) (p-n)!,
+    D_k = L (4 sd bd)^k ad^(k-n) (k-n)!,
+
+L the lcm of the column's input denominators.  D_p holds every denominator
+of a term c_k (4/sigma)^k / (b0+1)_k C(., p-k) of a_p, the binomial's being
+ad^(p-k) (p-k)!.  D_k holds every one of a_p I^p_k (:func:`_basis_series`):
+with F_j = j ad - an, (a)_m (a+1/2)_m / (2a+1)_m = F_2p F_(p+k+1) ...
+F_(2k-1) / (4 ad)^m, so no F_j is left below.  D times each term is thus
+an integer, and a step of a term to the next order, its ratio times D's,
+ends in one exact ``//``.  A zero D_p (some b0 + i = 0) or F_j in a divisor
+(a pole of the stepped ratio) raises ZeroDivisionError, as the rational sums
+do.  For evaluation the integral is transformed to the unit interval via
 w = (sqrt(1+sigma g t)-1)/(sqrt(1+sigma g t)+1):
 
     I_p(g) = (4/(sigma g))^{b0+1} int_0^1 dw (1+w) w^{b0+p} /
@@ -61,7 +77,6 @@ from .series import CoefficientTable, LargeOrderParams
 __all__ = [
     "BorelBasisSpec",
     "ResummedApproximant",
-    "pochhammer",
     "borel_coefficients",
     "basis_integral",
     "basis_integrals",
@@ -95,15 +110,6 @@ class BorelBasisSpec:
             raise ValueError("sigma must be positive")
 
 
-def pochhammer(x: Rational, k: int) -> Fraction:
-    """Rising factorial (x)_k as an exact rational."""
-    out = Fraction(1)
-    xq = Fraction(x)
-    for i in range(k):
-        out *= xq + i
-    return out
-
-
 def borel_coefficients(
     column: Sequence[Rational],
     params: LargeOrderParams,
@@ -116,33 +122,38 @@ def borel_coefficients(
     throughout (requires rational sigma and alpha, which both applications
     satisfy).
 
-    Each term of the sum is carried by its ratio to the previous one: the
-    weight c_k (4/sigma)^k / (b0+1)_k along k, and the binomial along p by
-    C(x+1, m+1) = C(x, m) (x+1)/(m+1).
+    Each term is carried over D_p (module docstring) by its ratio to the
+    previous one: term k starts at p = k as L c_k (4 sd bd)^k ad^(k-n) (k-n)!
+    and steps to p, by C(x+1, m+1) = C(x, m) (x+1)/(m+1), times
+    sn (bn + p bd) (p-n) ((k+p-1) ad - an), then ``//`` (p-k).
     """
     N = n + len(column) - 1
-    b0 = n + params.b0_offset
-    four_over_sigma = 4 / Fraction(params.sigma)
-    two_alpha = 2 * Fraction(params.alpha)
-    out = [Fraction(0)] * len(column)
-    scale = four_over_sigma**n / pochhammer(b0 + 1, n)  # (4/sigma)^k / (b0+1)_k
-    for k in range(n, N + 1):
+    column = [Fraction(c) for c in column]
+    sn, sd = Fraction(params.sigma).as_integer_ratio()
+    bn, bd = Fraction(n + params.b0_offset).as_integer_ratio()
+    an, ad = (2 * Fraction(params.alpha)).as_integer_ratio()
+    L = math.lcm(*(c.denominator for c in column))
+    rise = [sn * (bn + p * bd) * (p - n) for p in range(n, N + 1)]  # D_p / (ad D_{p-1}), p > n
+    out = [0] * len(column)
+    lead = (4 * sd * bd) ** n  # (4 sd bd)^k ad^(k-n) (k-n)!
+    for k, c_k in enumerate(column, n):
         if k > n:
-            scale *= four_over_sigma / (b0 + k)
-        c_k = Fraction(column[k - n])
-        if c_k == 0:
+            lead *= 4 * sd * bd * ad * (k - n)
+        if not c_k:
             continue
-        term = c_k * scale  # times C(p+k-1-2 alpha, p-k) = 1 at p = k
+        term = c_k.numerator * (L // c_k.denominator) * lead
         out[k - n] += term
-        x0 = k - 1 - two_alpha
         for p in range(k + 1, N + 1):
-            term *= (x0 + p) / (p - k)
+            term = term * rise[p - n] * ((k + p - 1) * ad - an) // (p - k)
             out[p - n] += term
-    return out
+    dens = [L * sn**n * math.prod(bn + i * bd for i in range(1, n + 1))]  # D_p
+    for r in rise[1:]:
+        dens.append(dens[-1] * ad * r)
+    return [Fraction(value, den) for value, den in zip(out, dens)]
 
 
-def _basis_series(p: int, b0, alpha, sigma, x, scale=1) -> Iterator:
-    """``scale`` times the terms I^p_k x^k of the power series of I_p(x), for
+def _basis_series(p: int, b0, alpha, sigma, x) -> Iterator:
+    """The terms I^p_k x^k of the power series of I_p(x), for
     k = p, p+1, ... without end (I^p_k = 0 for k < p).  From the
     hypergeometric series, with a = p - alpha and m = k - p,
 
@@ -156,7 +167,7 @@ def _basis_series(p: int, b0, alpha, sigma, x, scale=1) -> Iterator:
     for the terms at a coupling x = g.
     """
     a = p - alpha
-    term = scale * (sigma * x / 4) ** p
+    term = (sigma * x / 4) ** p
     for i in range(1, p + 1):
         term *= b0 + i  # (b0+1)_p
     yield term
@@ -393,28 +404,42 @@ def build_approximant(
 def reexpansion_check(approx: ResummedApproximant) -> Union[Fraction, float]:
     """Max relative residual of sum_p I^p_k a_pn against the input c_kn.
 
-    Exact rational arithmetic; the construction makes this identically zero,
-    so any nonzero return is a hard failure of the coefficient algebra.
+    Exact; the construction makes this identically zero, so any nonzero
+    return is a hard failure of the coefficient algebra.  Over D_k (module
+    docstring), D_k a_pn I^p_k starts at k = p and steps to k+1 times
+    -sn (bn + (k+1) bd) (k+1-n) F_2k F_2k+1, then ``//`` F_(p+k+1) (k+1-p).
     """
-    N = approx.N
+    N, params = approx.N, approx.params
+    sn, sd = Fraction(params.sigma).as_integer_ratio()
+    an, ad = (2 * Fraction(params.alpha)).as_integer_ratio()
+    F = [j * ad - an for j in range(2 * N)]
     worst: Fraction = Fraction(0)
     for n in range(N + 1):
-        recovered = [Fraction(0)] * (N + 1 - n)  # at k = n .. N
-        for p in range(n, N + 1):
-            coeff = approx.a[(p, n)]
-            if coeff == 0:
+        bn, bd = Fraction(n + params.b0_offset).as_integer_ratio()
+        coeffs = [approx.a[(p, n)] for p in range(n, N + 1)]
+        L = math.lcm(*(c.denominator for c in coeffs))
+        step = [-sn * (bn + (k + 1) * bd) * (k + 1 - n) * F[2 * k] * F[2 * k + 1]
+                for k in range(n, N)]
+        recovered = [0] * len(coeffs)  # times D_k, at k = n .. N
+        lead = sn**n * math.prod(bn + i * bd for i in range(1, n + 1))  # D_p I^p_p / L
+        for p, coeff in enumerate(coeffs, n):
+            if p > n:
+                lead *= sn * (bn + p * bd) * ad * (p - n)
+            if not coeff:
                 continue
-            spec = approx.basis_spec(p, n)
-            terms = _basis_series(p, spec.b0, spec.alpha, spec.sigma, 1, coeff)
-            for k, term in zip(range(p, N + 1), terms):
-                recovered[k - n] += term
+            term = coeff.numerator * (L // coeff.denominator) * lead
+            recovered[p - n] += term
+            for k in range(p, N):
+                term = term * step[k - n] // (F[p + k + 1] * (k + 1 - p))
+                recovered[k + 1 - n] += term
+        den = L * (4 * sd * bd) ** n  # D_k
         for k, value in enumerate(recovered, n):
+            if k > n:
+                den *= 4 * sd * bd * ad * (k - n)
             target = approx.input_table.entry(k, n)
-            residual = value - target
-            if residual == 0:
-                continue
-            rel = abs(residual) / max(Fraction(1), abs(target))
-            worst = max(worst, rel)
+            if value * target.denominator != den * target.numerator:
+                rel = abs(Fraction(value, den) - target) / max(Fraction(1), abs(target))
+                worst = max(worst, rel)
     return worst
 
 

@@ -102,9 +102,20 @@ class LaurentInOmega:
         return sum(c * omega**p for p, c in self._float_terms)
 
     def evaluate_exact(self, omega: Fraction) -> Fraction:
+        """The exact value at omega = u/v: one integer Horner pass for
+        h = sum_p c_p u^(p-lo) v^(hi-p), then h u^lo / (v^hi denominator)
+        as one Fraction, lo and hi the lowest and highest power."""
         if omega <= 0:
             raise ValueError("requires Omega > 0")
-        return sum((c * omega**p for p, c in self.terms.items()), Fraction(0))
+        u, v = Fraction(omega).as_integer_ratio()
+        nums = self.numerators
+        lo, hi = min(nums, default=0), max(nums, default=0)
+        h, v_power = 0, 1
+        for p in range(hi, lo - 1, -1):
+            h = h * u + nums.get(p, 0) * v_power
+            v_power *= v
+        return Fraction(h * u ** max(lo, 0) * v ** max(-hi, 0),
+                        self.denominator * u ** max(-lo, 0) * v ** max(hi, 0))
 
     def derivative(self) -> "LaurentInOmega":
         return LaurentInOmega({p - 1: c * p for p, c in self.numerators.items() if p != 0},

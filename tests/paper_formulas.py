@@ -11,7 +11,9 @@ difference equation of the ``anires.benderwu`` docstring, solved over the full
 (i, j) square in plain Fractions, is what the tests check the half-block
 recursion and its x <-> y symmetry against.  The Borel t-integral of the
 ``anires.borel`` docstring, its logarithm summed term by term as written, is
-what the tests check the regrouped ``basis_integral_tform`` against.
+what the tests check the regrouped ``basis_integral_tform`` against.  The
+reexpansion check summed in plain Fractions, each I^p_k from its term ratio,
+is what the tests check the integer sums of ``reexpansion_check`` against.
 Conventions follow ``anires.model`` (Z = sum Z_kn g^k d^n) and ``anires.qm``
 (E = sum E_kn (g/4)^k (2d)^n).
 """
@@ -20,6 +22,7 @@ import math
 from fractions import Fraction
 
 from anires import SignedLog, generalized_binomial, integrate_semiline, z_coeff
+from anires.borel import _basis_series
 
 
 def large_order_estimate(params, gamma, k, n, gamma_form=False):
@@ -312,3 +315,34 @@ def basis_integral_four_logs(spec, g, quad):
         return 0.0 if ln_val < -745.0 else math.exp(ln_val)
 
     return integrate_semiline(integrand, quad).value
+
+
+def pochhammer(x, k):
+    """Rising factorial (x)_k as an exact rational."""
+    out = Fraction(1)
+    for i in range(k):
+        out *= Fraction(x) + i
+    return out
+
+
+def reexpansion_residual(approx):
+    """Max relative residual of sum_p I^p_k a_pn against the input c_kn, each
+    sum formed in Fractions term by term."""
+    N = approx.N
+    worst = Fraction(0)
+    for n in range(N + 1):
+        recovered = [Fraction(0)] * (N + 1 - n)  # at k = n .. N
+        for p in range(n, N + 1):
+            coeff = approx.a[(p, n)]
+            if coeff == 0:
+                continue
+            spec = approx.basis_spec(p, n)
+            terms = _basis_series(p, spec.b0, spec.alpha, spec.sigma, 1)
+            for k, term in zip(range(p, N + 1), terms):
+                recovered[k - n] += coeff * term
+        for k, value in enumerate(recovered, n):
+            target = approx.input_table.entry(k, n)
+            residual = value - target
+            if residual != 0:
+                worst = max(worst, abs(residual) / max(Fraction(1), abs(target)))
+    return worst

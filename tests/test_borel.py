@@ -1,5 +1,6 @@
 import json
 import math
+import random
 from fractions import Fraction
 from itertools import islice
 
@@ -24,12 +25,13 @@ from anires import (
     z_reference,
 )
 from anires import borel
-from anires.borel import SMALL_SIGMA_G, ResummedApproximant, pochhammer
+from anires.borel import SMALL_SIGMA_G, ResummedApproximant
 from anires.model import MODEL_ALPHA
 from anires.qm import QM_ALPHA
 from anires.quadrature import DEFAULT_SPEC
 from anires.specfun import generalized_binomial
-from paper_formulas import basis_integral_four_logs
+from anires.series import CoefficientTable, LargeOrderParams
+from paper_formulas import basis_integral_four_logs, pochhammer, reexpansion_residual
 
 TIGHT = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-12, max_refinements=12)
 
@@ -71,16 +73,51 @@ def direct_borel_coefficients(column, params, n):
     ]
 
 
-@pytest.mark.parametrize("case", ["qm-sigma3", "qm-sigma4", "model"])
+# (sigma, b0 offset, alpha) on the oscillator table: the default pair, sigma
+# with a denominator, and all three with one
+QM_PARAMS = {
+    "qm-sigma3": qm_large_order_params(3),
+    "qm-sigma4": qm_large_order_params(4),
+    "qm-sigma7_2": qm_large_order_params(Fraction(7, 2)),
+    "qm-sigma10_3": qm_large_order_params(Fraction(10, 3)),
+    "qm-5_2-5_4-2_5": LargeOrderParams(Fraction(5, 2), Fraction(5, 4), Fraction(2, 5)),
+}
+
+
+@pytest.mark.parametrize("case", [*QM_PARAMS, "model"])
 def test_triangle_equals_direct_sum(case):
     N = 15
     if case == "model":
         table, params = ModelCoefficients.build(N).table, model_large_order_params()
     else:
-        table, params = benderwu_build(N).energy, qm_large_order_params(int(case[-1]))
+        table, params = benderwu_build(N).energy, QM_PARAMS[case]
     for n in range(N + 1):
         column = table.column(n, N)
         assert borel_coefficients(column, params, n) == direct_borel_coefficients(column, params, n)
+
+
+def test_triangle_equals_direct_sum_on_random_columns():
+    # seeded columns and parameters, among them a vanishing b0 + i (where both
+    # raise ZeroDivisionError) and 2 alpha with a denominator that no other
+    # factor of the denominator shares
+    rng = random.Random(2029)
+    raised = 0
+    for _ in range(400):
+        params = LargeOrderParams(Fraction(rng.randint(1, 20), rng.randint(1, 6)),
+                                  Fraction(rng.randint(-40, 40), rng.randint(1, 6)),
+                                  Fraction(rng.randint(-30, 30), rng.randint(1, 14)))
+        column = [Fraction(rng.randint(-30, 30), rng.randint(1, 12)) if rng.random() < 0.8
+                  else Fraction(0) for _ in range(rng.randint(1, 8))]
+        n = rng.randint(0, 4)
+        try:
+            want = direct_borel_coefficients(column, params, n)
+        except ZeroDivisionError:
+            raised += 1
+            with pytest.raises(ZeroDivisionError):
+                borel_coefficients(column, params, n)
+        else:
+            assert borel_coefficients(column, params, n) == want
+    assert 0 < raised < 100
 
 
 class TestBorelCoefficients:
@@ -106,6 +143,16 @@ class TestBorelCoefficients:
         a1 = borel_coefficients(col, params, 1)
         a3 = borel_coefficients([3 * c for c in col], params, 1)
         assert a3 == [3 * v for v in a1]
+
+    def test_vanishing_b0_plus_i_raises(self, qm_table):
+        # b0(0) = -2 makes (b0+1)_k vanish from k = 2 on, as in the direct sum
+        params = LargeOrderParams(Fraction(3), Fraction(-2), Fraction(1, 3))
+        column = qm_table.column(0, 4)
+        assert borel_coefficients(column[:2], params, 0) == direct_borel_coefficients(
+            column[:2], params, 0)
+        for check in (borel_coefficients, direct_borel_coefficients):
+            with pytest.raises(ZeroDivisionError):
+                check(column, params, 0)
 
 
 class TestBasisSeriesCoefficient:
@@ -232,6 +279,68 @@ class TestApproximant:
         a[key] += Fraction(1, 10**40)
         bent = ResummedApproximant(N=12, a=a, params=approx.params, input_table=qm_table)
         assert reexpansion_check(bent) > 0
+
+    @pytest.mark.parametrize("case", [*QM_PARAMS, "model"])
+    def test_reexpansion_equals_fraction_oracle(self, qm_table, model_approx_12, case):
+        # the integer sums against the Fraction ones, for the exact triangle
+        # (residual 0) and for perturbed a_pn: one diagonal, one off-diagonal,
+        # a whole column and a large move of the corner a_N0
+        if case == "model":
+            approx = model_approx_12
+        else:
+            approx = build_approximant(qm_table, 12, QM_PARAMS[case])
+        assert reexpansion_check(approx) == reexpansion_residual(approx) == 0
+        bends = [{(6, 6): Fraction(1, 10**40)}, {(9, 4): Fraction(-1, 10**40)},
+                 {(p, 3): Fraction(p, 7**p) for p in range(3, 13)}, {(12, 0): Fraction(-22, 7)}]
+        for bend in bends:
+            a = {key: value + bend.get(key, 0) for key, value in approx.a.items()}
+            bent = ResummedApproximant(N=12, a=a, params=approx.params,
+                                       input_table=approx.input_table)
+            residual = reexpansion_check(bent)
+            assert type(residual) is Fraction and residual > 0
+            assert residual == reexpansion_residual(bent), bend
+
+    def test_reexpansion_equals_fraction_oracle_on_random_triangles(self):
+        # seeded small tables, parameters and a_pn, among them vanishing
+        # factors j - 2 alpha in the numerator of I^p_k and in its pole (where
+        # both raise ZeroDivisionError)
+        rng = random.Random(2029)
+
+        def rational(top, den):
+            return Fraction(rng.randint(-top, top), rng.randint(1, den))
+
+        def outcome(check, approx):
+            try:
+                return check(approx)
+            except ZeroDivisionError:
+                return ZeroDivisionError
+
+        seen = set()
+        for _ in range(400):
+            N = rng.randint(0, 6)
+            params = LargeOrderParams(Fraction(rng.randint(1, 20), rng.randint(1, 6)),
+                                      rational(20, 6),
+                                      Fraction(rng.randint(-6, 8), rng.choice((2, 4, 6))))
+            entries = {(k, n): rational(30, 12) for n in range(N + 1) for k in range(n, N + 1)}
+            entries[(0, 0)] = Fraction(1)
+            a = {(p, n): rational(30, 12) if rng.random() < 0.8 else Fraction(0)
+                 for n in range(N + 1) for p in range(n, N + 1)}
+            approx = ResummedApproximant(N=N, a=a, params=params,
+                                         input_table=CoefficientTable(entries, N))
+            want = outcome(reexpansion_residual, approx)
+            assert outcome(reexpansion_check, approx) == want
+            seen.add(want if want is ZeroDivisionError else want == 0)
+        assert seen == {ZeroDivisionError, False}
+
+    def test_pole_of_the_basis_series_raises(self, qm_table):
+        # alpha = 1/2 puts the pole 2a + m = 0 of the I_0 series at m = 1
+        params = LargeOrderParams(Fraction(3), Fraction(3, 2), Fraction(1, 2))
+        approx = build_approximant(qm_table, 4, params)
+        assert approx.a[(0, 0)] == 1
+        with pytest.raises(ZeroDivisionError):
+            reexpansion_residual(approx)
+        with pytest.raises(ZeroDivisionError):
+            reexpansion_check(approx)
 
     def test_resum_g_to_zero(self, model_approx_12):
         assert model_approx_12.resum(1e-9, 0.7, TIGHT) == pytest.approx(1.0, abs=1e-7)

@@ -273,6 +273,30 @@ class TestOptimizeOmega:
                 assert fn.scale(omega) == sum(abs(float(c)) * omega**p
                                               for p, c in fn.terms.items())
 
+    def test_exact_evaluation_is_the_term_sum(self, qm_table):
+        # the integer Horner pass against sum c omega^p in Fractions: seeded
+        # random polynomials with all powers negative, all positive or mixed
+        # (with gaps), at dyadic and non-dyadic omega
+        rng = random.Random(29)
+        spans = [(-9, -1), (1, 9), (-7, 6), (0, 0), (-3, 0), (0, 4)]
+        cases = [(w_laurent(qm_table, 11, Fraction(1, 10), Fraction(1, 2)), Fraction(1977, 1000))]
+        for i in range(1200):
+            lo, hi = spans[i % len(spans)]
+            powers = [p for p in range(lo, hi + 1) if rng.random() < 0.8] or [lo]
+            fn = LaurentInOmega({p: rng.randint(-10**12, 10**12) for p in powers},
+                                rng.randint(1, 10**6))
+            omega = (Fraction(rng.randint(1, 4000), 2 ** rng.randint(0, 12)) if i % 2
+                     else Fraction(rng.randint(1, 4000), rng.randint(1, 4000)))
+            cases.append((fn, omega))
+        cases.append((LaurentInOmega({}), Fraction(3, 7)))
+        for fn, omega in cases:
+            got = fn.evaluate_exact(omega)
+            assert type(got) is Fraction
+            assert got == sum((c * omega**p for p, c in fn.terms.items()), Fraction(0))
+        for omega in (Fraction(0), Fraction(-1, 3)):
+            with pytest.raises(ValueError, match="Omega > 0"):
+                cases[0][0].evaluate_exact(omega)
+
     @pytest.mark.parametrize("omega", [0.0, -1.0, math.nan, math.inf])
     def test_evaluate_names_a_bad_omega(self, qm_table, omega):
         W = w_laurent(qm_table, 3, Fraction(1, 10), Fraction(1, 2))
