@@ -30,30 +30,22 @@ and the check's sum at order k, over
 
 L the lcm of the column's input denominators.  D_p holds every denominator
 of a term c_k (4/sigma)^k / (b0+1)_k C(., p-k) of a_p, the binomial's being
-ad^(p-k) (p-k)!.  D_k holds every one of a_p I^p_k (:func:`_basis_series`):
-with F_j = j ad - an, (a)_m (a+1/2)_m / (2a+1)_m = F_2p F_(p+k+1) ...
-F_(2k-1) / (4 ad)^m, so no F_j is left below.  D times each term is thus
-an integer, and a step of a term to the next order, its ratio times D's,
-ends in one exact ``//``.  A zero D_p (some b0 + i = 0) or F_j in a divisor
-(a pole of the stepped ratio) raises ZeroDivisionError, as the rational sums
-do.  For evaluation the integral is transformed to the unit interval via
-w = (sqrt(1+sigma g t)-1)/(sqrt(1+sigma g t)+1):
+ad^(p-k) (p-k)!.  D_k holds every one of a_p I^p_k, the coefficient of g^k
+in I_p(g): with a = p - alpha, m = k - p and F_j = j ad - an,
+I^p_k = (sigma/4)^p (-sigma)^m (b0+1)_k (a)_m (a+1/2)_m / ((2a+1)_m m!) and
+(a)_m (a+1/2)_m / (2a+1)_m = F_2p F_(p+k+1) ... F_(2k-1) / (4 ad)^m, so no
+F_j is left below.  D times each term is thus an integer, and a step of a
+term to the next order, its ratio times D's, ends in one exact ``//``.  A
+zero D_p (some b0 + i = 0) or F_j in a divisor (a pole of the stepped ratio)
+raises ZeroDivisionError, as the rational sums do.
 
-    I_p(g) = (4/(sigma g))^{b0+1} int_0^1 dw (1+w) w^{b0+p} /
-             [Gamma(b0+1) (1-w)^{2 b0 + 2 alpha + 3}] *
-             exp[-4 w / ((1-w)^2 sigma g)],
-
-which the double-exponential quadrature handles without manual splitting; the
-(1-w)^{-...} endpoint growth is dominated by the essential decay of the
-exponential.  The integral is linear, so a weighted sum sum_i c_i I_{p0+i}
-is one integral, whose integrand carries the polynomial sum_i c_i w^i.  At
-fixed g these integrands differ only by powers of w and (1-w), a constant and
-that polynomial, so the per-column sums sum_p a_pn I_pn of one coupling are
-integrated together, on one node set (:func:`basis_integrals`).  For sigma*g
-below 1e-3 the integrand support collapses below quadrature resolution and
-the optimally truncated power series of I_p is used instead (its minimal term
-is ~exp(-1/(sigma g)), far below any tolerance the quadrature could deliver
-there).
+For evaluation a weighted sum sum_i c_i I_{p0+i}(g) is one t-integral on
+(0, inf): the last factor of I_p is w^p, w = (R-1)/(R+1) with
+R = sqrt(1+sigma g t), so the integrand carries the polynomial sum_i c_i w^i,
+and the double-exponential quadrature takes it as it stands at every finite
+g > 0.  At fixed g these integrands differ only by powers of t and w, a
+constant and that polynomial, so the column sums sum_p a_pn I_pn of one
+coupling are integrated together, on one node set (:func:`basis_integrals`).
 
 Double series: the anisotropic generalization resums the g-series of each
 anisotropy power separately, with n-dependent Borel parameter b0(n).  The
@@ -68,10 +60,9 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import count
-from typing import Dict, Iterator, List, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
-from .quadrature import DEFAULT_SPEC, QuadratureSpec, integrate_unit, integrate_semiline
+from .quadrature import DEFAULT_SPEC, QuadratureSpec, integrate_semiline
 from .series import CoefficientTable, LargeOrderParams
 
 __all__ = [
@@ -84,12 +75,7 @@ __all__ = [
     "build_approximant",
     "reexpansion_check",
     "approximant_to_json",
-    "SMALL_SIGMA_G",
 ]
-
-# Below this sigma*g the w-integrand is too narrow for quadrature and the
-# truncated asymptotic series of I_p is both cheaper and far more accurate.
-SMALL_SIGMA_G = 1e-3
 
 Rational = Union[int, Fraction]
 
@@ -152,49 +138,6 @@ def borel_coefficients(
     return [Fraction(value, den) for value, den in zip(out, dens)]
 
 
-def _basis_series(p: int, b0, alpha, sigma, x) -> Iterator:
-    """The terms I^p_k x^k of the power series of I_p(x), for
-    k = p, p+1, ... without end (I^p_k = 0 for k < p).  From the
-    hypergeometric series, with a = p - alpha and m = k - p,
-
-        I^p_k = (sigma/4)^p (-sigma)^m (b0+1)_k (a)_m (a+1/2)_m / ((2a+1)_m m!),
-
-    so each term follows from the previous one by the ratio
-
-        I^p_k x / I^p_{k-1} = (-sigma x)(b0+k)(a+m-1)(a+m-1/2) / ((2a+m) m).
-
-    Exact for rational arguments (x = 1 gives the coefficients I^p_k); floats
-    for the terms at a coupling x = g.
-    """
-    a = p - alpha
-    term = (sigma * x / 4) ** p
-    for i in range(1, p + 1):
-        term *= b0 + i  # (b0+1)_p
-    yield term
-    # the ratio's factors at m = 0, each advanced by m
-    minus_sx, b0_k, a_1, a_half, two_a = -sigma * x, b0 + p, a - 1, a - Fraction(1, 2), 2 * a
-    for m in count(1):
-        term *= minus_sx * (b0_k + m) * (a_1 + m) * (a_half + m) / ((two_a + m) * m)
-        yield term
-
-
-def _basis_series_value(p: int, b0: float, alpha: float, sigma: float, g: float) -> float:
-    """Optimally truncated asymptotic series of I_p(g), for tiny sigma*g.
-
-    Terms alternate; summation stops at the smallest term, whose magnitude
-    bounds the truncation error (~exp(-1/(sigma g)) at the optimum).
-    """
-    terms = _basis_series(p, b0, alpha, sigma, g)
-    total = next(terms)
-    last = abs(total)
-    for term in terms:
-        if abs(term) >= last:
-            break
-        total += term
-        last = abs(term)
-    return total
-
-
 def basis_integrals(
     sigma: Fraction,
     alpha: Fraction,
@@ -203,61 +146,45 @@ def basis_integrals(
     quad: QuadratureSpec = DEFAULT_SPEC,
 ) -> List[float]:
     """Weighted sums ``sum_i weights[i] I_{p0+i}(g)`` of every column
-    ``(b0, p0, weights)``, from one w-form quadrature.
-
-    The result holds one float per column, in the order given.  The Borel
-    integral is linear, so each column is one integrand, w^{b0+p0} times the
-    polynomial ``sum_i weights[i] w^i`` times the factor all its p share.  All
-    columns are integrated on one node set: per node the factor common to all
-    of them is formed once in logs (relative to the first column's b0), each
-    column takes one exp and, unless it underflows to 0.0, one Horner pass
-    over its weights.  A refinement level is accepted only when every column
-    sum meets the tolerance.  For sigma*g below SMALL_SIGMA_G each sum is
-    formed from the truncated power series of its I_p instead, in ascending
-    p, skipping zero weights.
+    ``(b0, p0, weights)``, one float per column in the order given, from one
+    t-integral on one node set: per node ln t, ln(1+R) and ln w are formed
+    once, and each column takes one exp and, unless that underflows to 0.0,
+    one Horner pass in w over its weights.  A refinement level is accepted
+    only when every column sum meets the tolerance.  Where sigma*g*t
+    overflows, R > 1e154, so ln(1+R) = ln(sigma g t)/2 and w = 1 to rounding.
     """
     if not 0 < g < math.inf:
         raise ValueError(f"requires a finite g > 0, got {g}")
     if not columns:
         return []
-    sigma, alpha = float(sigma), float(alpha)
+    sigma, two_alpha = float(sigma), 2.0 * float(alpha)
     sg = sigma * g
-    if sg < SMALL_SIGMA_G:
-        sums = []
-        for b0, p0, weights in columns:
-            total = 0.0
-            for p, weight in enumerate(weights, p0):
-                if weight:
-                    total += weight * _basis_series_value(p, float(b0), alpha, sigma, g)
-            sums.append(total)
-        return sums
-    # per column: log offset, coefficients of log w and log(1-w), and the
-    # weights from the highest power of w down, as Horner takes them
-    terms = []
+    ln_sg = math.log(sigma) + math.log(g)  # finite where sg overflows
+    # per column: log offset and extra power of t relative to the first
+    # column's b0, power of w, and the weights from the top down, for Horner
     b0_base = float(columns[0][0])
-    ln_4_over_sg = math.log(4.0 / sg)
+    ln_norm = math.lgamma(b0_base + 1.0)
+    terms = [(ln_norm - math.lgamma(float(b0) + 1.0), float(b0) - b0_base, p0,
+              weights[-1], weights[-2::-1]) for b0, p0, weights in columns]
+    ln_pref = -two_alpha * math.log(2.0) - ln_norm
+    inf, log, log1p, exp, sqrt = math.inf, math.log, math.log1p, math.exp, math.sqrt
 
-    def ln_pref(b0: float) -> float:
-        return (b0 + 1.0) * ln_4_over_sg - math.lgamma(b0 + 1.0)
-
-    ln_pref_base = ln_pref(b0_base)
-    for b0, p0, weights in columns:
-        db = float(b0) - b0_base
-        terms.append((ln_pref(float(b0)) - ln_pref_base, db + p0, 2.0 * db,
-                      weights[-1], weights[-2::-1]))
-    edge_base = 2.0 * b0_base + 2.0 * alpha + 3.0
-    log, log1p, exp = math.log, math.log1p, math.exp
-
-    def integrand(w: float) -> List[float]:
-        one_m = 1.0 - w
-        ln_w = log(w)
-        ln_1m = log(one_m)
-        common = (ln_pref_base + log1p(w) + b0_base * ln_w - edge_base * ln_1m
-                  - 4.0 * w / (one_m * one_m * sg))
+    def integrand(t: float) -> List[float]:
+        ln_t = log(t)
+        sgt = sg * t
+        if sgt < inf:
+            root = sqrt(1.0 + sgt)
+            ln_1r = log1p(root)
+            w = sgt / (1.0 + root) / (1.0 + root)
+        else:
+            ln_1r = 0.5 * (ln_sg + ln_t)
+            w = 1.0
+        ln_w = ln_sg + ln_t - 2.0 * ln_1r
+        common = ln_pref - t + b0_base * ln_t + two_alpha * ln_1r
         out: List[float] = []
-        for offset, c_w, c_1m, top, lower in terms:
+        for offset, c_t, p0, top, lower in terms:
             # exp underflows to 0.0 below about -745, as the tails need
-            factor = exp(common + offset + c_w * ln_w - c_1m * ln_1m)
+            factor = exp(common + offset + c_t * ln_t + p0 * ln_w)
             if factor == 0.0:
                 out.append(0.0)
                 continue
@@ -267,21 +194,21 @@ def basis_integrals(
             out.append(factor * poly)
         return out
 
-    return integrate_unit(integrand, quad).value
+    return integrate_semiline(integrand, quad).value
 
 
 def basis_integral(
     spec: BorelBasisSpec, g: float, quad: QuadratureSpec = DEFAULT_SPEC
 ) -> float:
-    """I_p(g) for finite g > 0, via the w-form integral (or the truncated series
-    in the small-coupling regime sigma*g < 1e-3)."""
+    """I_p(g) for finite g > 0, as the one-column case of :func:`basis_integrals`."""
     return basis_integrals(spec.sigma, spec.alpha, [(spec.b0, spec.p, [1.0])], g, quad)[0]
 
 
 def basis_integral_tform(
     spec: BorelBasisSpec, g: float, quad: QuadratureSpec = DEFAULT_SPEC
 ) -> float:
-    """I_p(g) via the original Borel t-integral; cross-check for the w-form."""
+    """I_p(g) via the Borel t-integral, one basis function at a time: the
+    independent per-basis oracle for :func:`basis_integrals`."""
     if not 0 < g < math.inf:
         raise ValueError(f"requires a finite g > 0, got {g}")
     b0 = float(spec.b0)
@@ -401,7 +328,7 @@ def build_approximant(
     return ResummedApproximant(N=N, a=a, params=params, input_table=table)
 
 
-def reexpansion_check(approx: ResummedApproximant) -> Union[Fraction, float]:
+def reexpansion_check(approx: ResummedApproximant) -> Fraction:
     """Max relative residual of sum_p I^p_k a_pn against the input c_kn.
 
     Exact; the construction makes this identically zero, so any nonzero

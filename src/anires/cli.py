@@ -371,7 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--kmax", type=_count, default=kmax)
         if tol:
             p.add_argument("--tol", type=_tolerance, default=None,
-                           help="quadrature tolerance (default 1e-12/1e-10)")
+                           help="absolute and relative quadrature tolerance, with 12 refinement "
+                                "levels (default 1e-12 absolute, 1e-10 relative, 10 levels)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", help="output path (default stdout)")
 

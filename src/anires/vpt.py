@@ -286,7 +286,8 @@ def _newton(f: List[float], lo: float, hi: float, s: int) -> float:
     """A float estimate of the one root of f (high to low) in (lo, hi), where
     f has the sign s just right of lo.  Newton from the midpoint; a step that
     leaves the bracket, which the float signs keep shrinking, is replaced by
-    bisection."""
+    bisection.  It stops once a step or the bracket is within 2^-43 of x, a
+    quarter or less of the width of the cells :func:`_refine` searches."""
     x = (lo + hi) / 2
     for _ in range(64):
         v = dv = 0.0
@@ -302,7 +303,7 @@ def _newton(f: List[float], lo: float, hi: float, s: int) -> float:
         y = x - v / dv if dv else lo
         if not lo < y < hi:
             y = (lo + hi) / 2
-        if abs(y - x) <= 2**-46 * x or hi - lo <= 2**-46 * x:
+        if abs(y - x) <= 2**-43 * x or hi - lo <= 2**-43 * x:
             return y
         x = y
     return x

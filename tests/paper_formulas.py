@@ -12,17 +12,19 @@ difference equation of the ``anires.benderwu`` docstring, solved over the full
 recursion and its x <-> y symmetry against.  The Borel t-integral of the
 ``anires.borel`` docstring, its logarithm summed term by term as written, is
 what the tests check the regrouped ``basis_integral_tform`` against.  The
-reexpansion check summed in plain Fractions, each I^p_k from its term ratio,
-is what the tests check the integer sums of ``reexpansion_check`` against.
+power series of each I_p, term by term from its hypergeometric ratio
+(``_basis_series``), is what the tests check the exact triangle's inverse
+against, and the reexpansion check summed over it in plain Fractions is what
+the tests check the integer sums of ``reexpansion_check`` against.
 Conventions follow ``anires.model`` (Z = sum Z_kn g^k d^n) and ``anires.qm``
 (E = sum E_kn (g/4)^k (2d)^n).
 """
 
 import math
 from fractions import Fraction
+from itertools import count
 
 from anires import SignedLog, generalized_binomial, integrate_semiline, z_coeff
-from anires.borel import _basis_series
 
 
 def large_order_estimate(params, gamma, k, n, gamma_form=False):
@@ -323,6 +325,32 @@ def pochhammer(x, k):
     for i in range(k):
         out *= Fraction(x) + i
     return out
+
+
+def _basis_series(p, b0, alpha, sigma, x):
+    """The terms I^p_k x^k of the power series of I_p(x), for
+    k = p, p+1, ... without end (I^p_k = 0 for k < p).  From the
+    hypergeometric series, with a = p - alpha and m = k - p,
+
+        I^p_k = (sigma/4)^p (-sigma)^m (b0+1)_k (a)_m (a+1/2)_m / ((2a+1)_m m!),
+
+    so each term follows from the previous one by the ratio
+
+        I^p_k x / I^p_{k-1} = (-sigma x)(b0+k)(a+m-1)(a+m-1/2) / ((2a+m) m).
+
+    Exact for rational arguments (x = 1 gives the coefficients I^p_k); floats
+    for the terms at a coupling x = g.
+    """
+    a = p - alpha
+    term = (sigma * x / 4) ** p
+    for i in range(1, p + 1):
+        term *= b0 + i  # (b0+1)_p
+    yield term
+    # the ratio's factors at m = 0, each advanced by m
+    minus_sx, b0_k, a_1, a_half, two_a = -sigma * x, b0 + p, a - 1, a - Fraction(1, 2), 2 * a
+    for m in count(1):
+        term *= minus_sx * (b0_k + m) * (a_1 + m) * (a_half + m) / ((two_a + m) * m)
+        yield term
 
 
 def reexpansion_residual(approx):

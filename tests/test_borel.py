@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 from itertools import islice
 
+import mpmath
 import pytest
 
 from anires import (
@@ -25,15 +26,18 @@ from anires import (
     z_reference,
 )
 from anires import borel
-from anires.borel import SMALL_SIGMA_G, ResummedApproximant
+from anires.borel import ResummedApproximant
 from anires.model import MODEL_ALPHA
 from anires.qm import QM_ALPHA
 from anires.quadrature import DEFAULT_SPEC
 from anires.specfun import generalized_binomial
 from anires.series import CoefficientTable, LargeOrderParams
-from paper_formulas import basis_integral_four_logs, pochhammer, reexpansion_residual
+from paper_formulas import _basis_series, basis_integral_four_logs, pochhammer, reexpansion_residual
 
 TIGHT = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-12, max_refinements=12)
+# a tolerance relative to each value alone, so that sums far below 1e-12
+# (high p at small g, the model at large g) are converged as well
+RELATIVE = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-12, max_refinements=12)
 
 
 def model_spec(p, n):
@@ -41,8 +45,8 @@ def model_spec(p, n):
 
 
 def series_coefficients(spec, stop, x=1):
-    """I^p_k x^k for k = 0 .. stop - 1; borel._basis_series yields them from k = p."""
-    terms = borel._basis_series(spec.p, spec.b0, Fraction(spec.alpha), Fraction(spec.sigma), x)
+    """I^p_k x^k for k = 0 .. stop - 1; _basis_series yields them from k = p."""
+    terms = _basis_series(spec.p, spec.b0, Fraction(spec.alpha), Fraction(spec.sigma), x)
     return [Fraction(0)] * min(spec.p, stop) + list(islice(terms, max(stop - spec.p, 0)))
 
 
@@ -209,16 +213,17 @@ class TestBasisIntegral:
             assert basis_integral(spec, g, TIGHT) == pytest.approx(expected, rel=1e-3)
 
     def test_series_and_quadrature_branches_agree(self):
-        # straddle the switch at sigma*g = 1e-3
+        # continuous at small coupling: I_1 ~ 3 g there, so couplings 0.8%
+        # apart around sigma*g = 1e-3 give values 0.8% apart
         spec = model_spec(1, 1)
-        lo = basis_integral(spec, 0.000249, TIGHT)  # series branch
-        hi = basis_integral(spec, 0.000251, TIGHT)  # quadrature branch
+        lo = basis_integral(spec, 0.000249, TIGHT)
+        hi = basis_integral(spec, 0.000251, TIGHT)
         slope = (hi - lo) / lo
-        assert abs(slope) < 1e-2  # continuous across the switch
+        assert abs(slope) < 1e-2
 
     def test_w_form_equals_t_form(self):
-        # cross-check across three decades of sigma*g, including just above
-        # the series switch and deep in the strong-coupling regime
+        # one column of the vector t-integral against the per-basis oracle,
+        # from sigma*g = 1.6e-3 to the strong-coupling regime
         for p, n, g in [(0, 0, 1.0), (2, 2, 0.5), (1, 0, 3.0),
                         (3, 1, 0.01), (2, 1, 0.0004), (0, 0, 100.0)]:
             spec = model_spec(p, n)
@@ -230,7 +235,7 @@ class TestBasisIntegral:
                              ids=["qm", "model"])
     def test_t_form_equals_four_log_integrand(self, params):
         # the regrouped t-integrand (two logs per node) against the docstring's
-        # factors, one log each, from below the series switch to g = 1e5
+        # factors, one log each, from g = 2.6e-4 to g = 1e5
         for p in (0, 1, 2, 5, 8, 12):
             for n in sorted({0, p // 2, p}):
                 spec = BorelBasisSpec(p=p, b0=n + params.b0_offset,
@@ -438,7 +443,7 @@ class TestSharedNodeBasis:
         columns = [(Fraction(3), 2, [0.75, 0.0, 0.0, 1.5]),
                    (Fraction(1), 0, [2.0, 0.0, 0.0, -0.5]),
                    (Fraction(8), 7, [1.0])]
-        for g in (0.05, 1.0, 20.0):
+        for g in (1e-9, 1e-5, 0.05, 1.0, 20.0):
             got = basis_integrals(Fraction(4), Fraction(-1, 2), columns, g, TIGHT)
             assert len(got) == 3
             for (b0, p0, weights), value in zip(columns, got):
@@ -446,15 +451,51 @@ class TestSharedNodeBasis:
                            for p, weight in enumerate(weights, p0) if weight)
                 assert value == pytest.approx(want, rel=1e-10), (b0, g)
 
-    def test_small_coupling_series_branch(self):
-        # below SMALL_SIGMA_G each sum adds the lone series values in ascending p
-        columns = [(Fraction(1), 0, [0.5, 0.0, 2.0]), (Fraction(2), 1, [1.0])]
-        g = 1e-5
-        lone = [basis_integral(model_spec(p, n), g, TIGHT) for p, n in ((0, 0), (2, 0), (1, 1))]
-        assert basis_integrals(Fraction(4), Fraction(-1, 2), columns, g, TIGHT) == [
-            0.0 + 0.5 * lone[0] + 2.0 * lone[1],
-            0.0 + 1.0 * lone[2],
-        ]
+    # (sigma, alpha, columns) of the oscillator and the model, zero weights within
+    MPMATH_CASES = [
+        (Fraction(3), Fraction(1, 3), [(Fraction(3, 2), 0, [1.0, 0.0, -0.25, 0.0, 0.125]),
+                                       (Fraction(27, 2), 12, [1e-3])]),
+        (Fraction(4), Fraction(-1, 2), [(Fraction(1), 0, [1.0, 0.0, 0.5]),
+                                        (Fraction(13), 12, [2.0])]),
+    ]
+
+    @staticmethod
+    def mpmath_column_sums(sigma, alpha, columns, g):
+        """Each column sum as the t-integral of the ``anires.borel`` docstring, by
+        mpmath.quad at 30 digits over u = ln t in [-50, ln 300], scaled by the
+        integrand at its peak so that mpmath's absolute error test is relative."""
+        def mpf(q):
+            return mpmath.mpf(q.numerator) / q.denominator
+
+        with mpmath.workdps(30):
+            sg, two_alpha = mpf(sigma) * g, 2 * mpf(alpha)
+            sums = []
+            for b0, p0, weights in columns:
+                b0 = mpf(b0)
+
+                def f(u):
+                    t = mpmath.exp(u)
+                    one_r = 1 + mpmath.sqrt(1 + sg * t)
+                    w = sg * t / one_r**2
+                    return (mpmath.exp((b0 + 1) * u - t + two_alpha * mpmath.log(one_r / 2)
+                                       + p0 * mpmath.log(w))
+                            * mpmath.polyval(weights[::-1], w))
+
+                peak = mpmath.log(b0 + p0 + 1)
+                scale = f(peak)
+                cuts = sorted({-50, min(max(-mpmath.log(sg), -50), 0), peak, mpmath.log(300)})
+                value = mpmath.quad(lambda u: f(u) / scale, cuts) * scale / mpmath.gamma(b0 + 1)
+                sums.append(float(value))
+            return sums
+
+    @pytest.mark.parametrize("g", [1e-9, 0.3, 1e3, 1e40, 1e300])
+    def test_column_sums_match_mpmath(self, g):
+        # an oracle that shares no quadrature with basis_integrals or the
+        # t-form, from g = 1e-9 to g = 1e300
+        for sigma, alpha, columns in self.MPMATH_CASES:
+            got = basis_integrals(sigma, alpha, columns, g, RELATIVE)
+            assert got == pytest.approx(self.mpmath_column_sums(sigma, alpha, columns, g),
+                                        rel=1e-10), (sigma, g)
 
     def test_basis_value_accessor(self, model_approx_12):
         # a lone I_pn, off the resum path, for a nonzero and for a zero a_pn alike
@@ -479,54 +520,54 @@ def tform_recombination(approx, g, ys):
             for y in ys]
 
 
-def per_basis_resum(approx, g, y):
-    """resum as a sum over the I_pn with a_pn != 0, each computed alone."""
-    total = 0.0
-    for n in range(approx.N + 1):
-        inner = 0.0
-        for p in range(n, approx.N + 1):
-            if approx.a[(p, n)]:
-                inner += float(approx.a[(p, n)]) * basis_integral(approx.basis_spec(p, n), g)
-        total += inner * y**n
-    return total
-
-
 class TestColumnSums:
     YS = (-2.0, 1.0, 3.0)
 
     @pytest.mark.parametrize("case", ["qm-sigma3", "qm-sigma4", "model"])
     def test_resum_matches_tform_recombination(self, approximants_12, case):
-        # a log grid from just below the series switch up to g = 5
+        # a log grid from g = 1e-9 up to g = 5
         approx = approximants_12[case]
-        low = 0.9 * SMALL_SIGMA_G / float(approx.params.sigma)
-        for i in range(8):
-            g = low * (5.0 / low) ** (i / 7)
+        for i in range(11):
+            g = 1e-9 * 5e9 ** (i / 10)
             got = [approx.resum(g, y) for y in self.YS]
             assert got == pytest.approx(tform_recombination(approx, g, self.YS), rel=1e-10), g
-
-    @pytest.mark.parametrize("case", ["qm-sigma3", "qm-sigma4", "model"])
-    def test_series_branch_equals_per_basis_sum(self, approximants_12, case):
-        approx = approximants_12[case]
-        for g in (1e-7, 0.5 * SMALL_SIGMA_G / float(approx.params.sigma)):
-            for y in self.YS:
-                assert approx.resum(g, y) == per_basis_resum(approx, g, y)
 
     def test_one_quadrature_per_coupling(self, qm_table, monkeypatch):
         # one fresh coupling integrates every column sum in one call, and a scan
         # over y at the same coupling and spec reuses it
-        integrate_unit = borel.integrate_unit
+        integrate_semiline = borel.integrate_semiline
         widths = []
 
         def counted(f, quad):
             widths.append(len(f(0.5)))
-            return integrate_unit(f, quad)
+            return integrate_semiline(f, quad)
 
-        monkeypatch.setattr(borel, "integrate_unit", counted)
+        monkeypatch.setattr(borel, "integrate_semiline", counted)
         approx = qm_approximant(qm_table, 12)
         assert len(approx._columns) == 13
         for y in (-2.0, -0.5, 0.0, 1.0, 3.0):
             approx.resum(0.2, y)
         assert widths == [13]
+
+    @pytest.mark.parametrize("case,y", [("qm-sigma3", 2.0), ("model", 0.5)])
+    def test_strong_coupling_power_law(self, approximants_12, case, y):
+        # E g^(-1/3) at delta = 1 and Z g^(1/2) at delta = 1/2 are constant
+        # once sigma*g*t >> 1 on the integrand's support, and equal the g -> inf
+        # limit, where each I_p tends to (sigma g/4)^alpha Gamma(b0+1+alpha)/Gamma(b0+1);
+        # at g = 1e308 sigma*g itself overflows
+        approx = approximants_12[case]
+        params = approx.params
+        alpha = float(params.alpha)
+        scaled = [approx.resum(g, y) * g**-alpha for g in (1e40, 1e100, 1e300, 1e308)]
+        assert scaled == pytest.approx([scaled[0]] * 4, rel=1e-12)
+        limit = 0.0
+        for n in range(approx.N + 1):
+            b0 = n + float(params.b0_offset)
+            column = sum(float(approx.a[(p, n)]) for p in range(n, approx.N + 1))
+            limit += (column * y**n * (float(params.sigma) / 4) ** alpha
+                      * math.exp(math.lgamma(b0 + 1 + alpha) - math.lgamma(b0 + 1)))
+        for g in (1e40, 1e300):
+            assert approx.resum(g, y, RELATIVE) * g**-alpha == pytest.approx(limit, rel=1e-10)
 
     @pytest.mark.parametrize("sigma", [Fraction(1, 10**300), Fraction(10**300)])
     def test_coefficient_without_float_is_rejected(self, qm_table, sigma):

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import shlex
 import subprocess
@@ -169,6 +170,18 @@ class TestModelEvalAndResum:
         rows = read_csv(out)
         assert float(rows[1][1]) == pytest.approx(0.5456413607650471, abs=1e-5)
 
+    def test_resum_at_the_largest_coupling(self, tmp_path):
+        # g = 4e307, where sigma*g*t overflows on the integrand's support: the
+        # library's value, positive, with Z g^(1/2) at its g -> inf constant
+        out = tmp_path / "r.csv"
+        assert main(["model-resum", "--g4", "1e307", "--delta", "1/2", "--out", str(out)]) == 0
+        z = float(read_csv(out)[1][1])
+        N = build_parser().parse_args(["model-resum", "--g4", "1", "--delta", "0"]).order
+        approx = anires.build_approximant(anires.ModelCoefficients.build(N).table, N,
+                                          anires.model_large_order_params())
+        assert z == approx.resum(4e307, 0.5) > 0
+        assert z * math.sqrt(4e307) == pytest.approx(approx.resum(1e100, 0.5) * 1e50, rel=1e-12)
+
     def test_approximant_dump(self, tmp_path):
         out = tmp_path / "r.csv"
         dump = tmp_path / "a.json"
@@ -199,6 +212,14 @@ class TestQmResum:
         assert main(args + ["--g4", "0.1", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
         assert float(read_csv(a)[1][2]) == pytest.approx(1.134736659110728, rel=1e-12)
+
+    def test_strong_coupling(self, tmp_path):
+        # g/4 = 1e200 gives the library's finite positive energy
+        out = tmp_path / "q.csv"
+        assert main(["qm-resum", "--g4", "1e200", "--delta", "1", "--order", "8",
+                     "--out", str(out)]) == 0
+        want = anires.qm_approximant(anires.benderwu_build(8).energy, 8).resum(1e200, 2.0)
+        assert 0 < float(read_csv(out)[1][1]) == want < math.inf
 
     def test_sigma_flag(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
