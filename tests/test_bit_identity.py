@@ -7,6 +7,10 @@ These values were recorded with that code; the resummed values ``RESUM`` with
 the column sums as one t-integral each, at every coupling.
 """
 
+import hashlib
+import math
+from fractions import Fraction
+
 import pytest
 
 from anires import (
@@ -18,6 +22,8 @@ from anires import (
     qm_approximant,
     z_reference,
 )
+from anires.borel import BorelBasisSpec, basis_integral_tform
+from anires.cli import main
 
 from test_quadrature import SEMILINE_CASES, TIGHT, UNIT_CASES
 
@@ -88,3 +94,94 @@ def test_resum(qm_table, case):
 
 def test_z_reference():
     assert [z_reference(g, d) for g, d in Z_POINTS] == Z_REFERENCE
+
+
+def _peaked(w):
+    return math.exp(-((w - 1e-3) / 2e-4) ** 2)
+
+
+# vector integrands, each component one integrand of the scalar batteries:
+# (integrator, components, (value list, error list, levels) under TIGHT)
+VECTOR_CASES = [
+    (integrate_unit, [f for f, _ in UNIT_CASES],
+     ([1.0, 0.2499999999999999, 2.0, 0.9999999999999964, 1.0, 1.9999999999999996,
+       10.000000000000004, 0.7853981633974483],
+      [0.0, 8.326672684688674e-17, 4.440892098500626e-16, 2.4424906541753444e-15, 0.0,
+       4.440892098500626e-16, 0.0, 1.1102230246251565e-16], 4)),
+    (integrate_semiline, [f for f, _ in SEMILINE_CASES],
+     ([1.0000000000000004, 6.000000000000002, 0.8862269254527579, 1.7724538509055154, 0.5,
+       0.39999999999999997],
+      [4.440892098500626e-16, 8.881784197001252e-16, 0.0, 4.440892098500626e-16, 0.0,
+       5.551115123125783e-17], 7)),
+    (integrate_unit, [lambda w: 1.0, _peaked],
+     ([0.9999999999999998, 0.00035449077018083074], [1.1102230246251565e-16, 0.0], 8)),
+]
+# integrand calls of each scalar case (UNIT_CASES, then SEMILINE_CASES) and of
+# each vector case under TIGHT: every sweep visits exactly these nodes
+SCALAR_EVALS = [56, 88, 62, 51, 56, 55, 74, 109, 206, 161, 206, 228, 183, 651]
+VECTOR_EVALS = [145, 882, 1679]
+
+# basis_integral_tform at (sigma, alpha, b0, p, g): the model (b0 = n + 1) and
+# the oscillator at sigma = 3 (b0 = n + 3/2)
+TFORM_POINTS = ((4, Fraction(-1, 2), Fraction(1), 0, 1e-3),
+                (4, Fraction(-1, 2), Fraction(2), 3, 0.3),
+                (4, Fraction(-1, 2), Fraction(3), 8, 4.0),
+                (4, Fraction(-1, 2), Fraction(1), 12, 150000.0),
+                (3, Fraction(1, 3), Fraction(3, 2), 0, 0.05),
+                (3, Fraction(1, 3), Fraction(9, 2), 5, 2.0),
+                (3, Fraction(1, 3), Fraction(15, 2), 12, 40.0))
+TFORM = [0.9980118816504087, 0.028727344684991423, 0.027397346821630225,
+         0.0022071506923243044, 1.0551929822087447, 0.39369019175242675, 2.9855463940763194]
+
+# sha256 of each `figures --which figN` CSV at default flags
+FIGURE_SHA256 = {
+    "fig1": "d18d78a00b635f8a830b6e98ebbad44375a1bb3dac034b2d9932a61247e2228a",
+    "fig2a": "1aadf495f7fe62320e079f5d98cb0387e9898417102818a6a48d87dd19180af5",
+    "fig2b": "ac7ab7606ab91e08ad23f81fc0e2778e921cbe67c879201b2bd40bf7e3467c28",
+    "fig4": "9b7677543f2b0d902eb89e5478588a8cb22857c2b52b172544203f44f74149b6",
+    "fig5": "5e48a5a898b5bfceb68bb7c9487d10d419d894cabdb3e7331c254a7f22c01431",
+    "fig6": "3ba78ff73a6a2af4fc957437a3d5b9f2d75e12a38fa2b00c60b67c4a8331f540",
+    "fig7": "2c609c2b6ba81d5e6dd8e0627035b194b9efd26116aa25f5de7fb69f62b06197",
+    "fig8": "9c9804eeec763a405f8cacfbd641d1d8ed8a81649e39f1fd9377c4da4b9e51d5",
+    "fig9": "74e6a52fbf6130baadaf62605ae80dab9a54f51819c66088fbf16de3447f88cc",
+}
+
+
+def _counted(f, calls):
+    def integrand(x):
+        calls.append(x)
+        return f(x)
+    return integrand
+
+
+def test_vector_batteries():
+    got = [integrate(lambda x, fs=fs: [f(x) for f in fs], TIGHT) for integrate, fs, _ in VECTOR_CASES]
+    assert [tuple(res) for res in got] == [want for _, _, want in VECTOR_CASES]
+
+
+def test_integrand_evaluations():
+    scalar = []
+    for integrate, cases in ((integrate_unit, UNIT_CASES), (integrate_semiline, SEMILINE_CASES)):
+        for f, _ in cases:
+            calls = []
+            integrate(_counted(f, calls), TIGHT)
+            scalar.append(len(calls))
+    vector = []
+    for integrate, fs, _ in VECTOR_CASES:
+        calls = []
+        integrate(_counted(lambda x, fs=fs: [f(x) for f in fs], calls), TIGHT)
+        vector.append(len(calls))
+    assert (scalar, vector) == (SCALAR_EVALS, VECTOR_EVALS)
+
+
+def test_basis_integral_tform():
+    got = [basis_integral_tform(BorelBasisSpec(p, b0, alpha, Fraction(sigma)), g)
+           for sigma, alpha, b0, p, g in TFORM_POINTS]
+    assert got == TFORM
+
+
+@pytest.mark.parametrize("which", FIGURE_SHA256)
+def test_figure_bytes(tmp_path, which):
+    out = tmp_path / f"{which}.csv"
+    assert main(["figures", "--which", which, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == FIGURE_SHA256[which]
