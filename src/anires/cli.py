@@ -39,6 +39,8 @@ _CROSSOVER_NOTE = (
     "note: k_cross is the first grid point whose incoming local slope has "
     "crossed -3/4 (midpoint convention of this package)"
 )
+_K_CROSS = ("stderr gets k_cross, the first point of the grid k = 16, 32, ..., kmax whose "
+            "incoming local slope has passed -3/4 (a grid point, not an interpolated crossing)")
 
 
 def _arg(convert: Callable, expected: str, check: Callable = lambda value: True):
@@ -218,8 +220,7 @@ def cmd_model_crossover(args) -> int:
     while k <= args.kmax:
         ks.append(k)
         k *= 2
-    column = [model.z_coeff_delta_scaled(k, delta) for k in ks]
-    report = local_exponent(column, 4.0, ks)
+    report = local_exponent(model.z_coeffs_delta_scaled(ks, delta), 4.0, ks)
     rows = []
     for i, k in enumerate(report.k_grid):
         beta = report.beta_local[i - 1] if i >= 1 else ""
@@ -384,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, g4=True, delta=True)
     p.set_defaults(fn=cmd_model_eval)
 
-    p = sub.add_parser("model-crossover", help="large-order crossover scan")
+    p = sub.add_parser("model-crossover", help="large-order crossover scan", description=_K_CROSS)
     common(p, tol=False)
     p.add_argument("--kmax", type=_crossover_kmax, default=4096)
     p.add_argument("--delta", type=_model_delta, required=True,
@@ -413,7 +414,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="select the smallest-Omega stationary point instead of min W")
     p.set_defaults(fn=cmd_vpt)
 
-    p = sub.add_parser("figures", help="reproduce a figure's data as CSV")
+    p = sub.add_parser("figures", help="reproduce a figure's data as CSV",
+                       description="fig1, fig2a and fig2b are model-crossover scans: " + _K_CROSS)
     p.add_argument("--which", required=True,
                    choices=["fig1", "fig2a", "fig2b", "fig4", "fig5", "fig6",
                             "fig7", "fig8", "fig9"])

@@ -39,7 +39,7 @@ from fractions import Fraction
 
 from .quadrature import DEFAULT_SPEC, QuadratureSpec, integrate_semiline
 from .series import CoefficientTable, LargeOrderParams, SignedLog, checked_kmax
-from .specfun import bessel_i0_scaled, legendre_scaled
+from .specfun import bessel_i0_scaled, legendre_scaled_grid
 
 __all__ = [
     "MODEL_SIGMA",
@@ -47,6 +47,7 @@ __all__ = [
     "ModelCoefficients",
     "z_coeff",
     "z_coeff_delta_scaled",
+    "z_coeffs_delta_scaled",
     "z_reference",
     "model_large_order_params",
 ]
@@ -86,24 +87,21 @@ def z_coeff_delta_scaled(k: int, delta: float) -> SignedLog:
     Z_k(d) = ((-1)^k / k!) (2k)! (1 - d/2)^{k/2} P_k((4-d)/(2 sqrt(4-2d))),
 
     evaluated in log space with the scaled Legendre recurrence.  Usable far
-    beyond the float overflow threshold (k ~ 10^5); this is the path of the
-    crossover scans.
+    beyond the float overflow threshold (k ~ 10^5).
     """
-    if k < 0:
-        raise ValueError(f"negative order {k}")
+    return z_coeffs_delta_scaled([k], delta)[0]
+
+
+def z_coeffs_delta_scaled(ks: list[int], delta: float) -> list[SignedLog]:
+    """:func:`z_coeff_delta_scaled` at each of the increasing orders ``ks``,
+    from one Legendre recurrence; the path of the crossover scans."""
     if not -math.inf < delta < 2.0:
         raise ValueError(f"requires a finite delta < 2, got {delta}")
-    if k == 0:
-        return SignedLog(1, 0.0)
     x = (4.0 - delta) / (2.0 * math.sqrt(4.0 - 2.0 * delta))  # >= 1 for all d < 2
-    mantissa, exponent = legendre_scaled(k, x)
-    ln_abs = (
-        math.lgamma(2 * k + 1)
-        - math.lgamma(k + 1)
-        + 0.5 * k * math.log1p(-0.5 * delta)
-        + (math.log(mantissa) + exponent * math.log(2.0))  # ln P_k(x)
-    )
-    return SignedLog(-1 if k % 2 else 1, ln_abs)
+    return [SignedLog(-1 if k % 2 else 1, math.lgamma(2 * k + 1) - math.lgamma(k + 1)
+                      + 0.5 * k * math.log1p(-0.5 * delta)
+                      + (math.log(mantissa) + exponent * math.log(2.0)))  # ln P_k(x)
+            for k, (mantissa, exponent) in zip(ks, legendre_scaled_grid(ks, x))]
 
 
 def z_reference(g: float, delta: float, spec: QuadratureSpec = DEFAULT_SPEC) -> float:

@@ -27,6 +27,10 @@ error estimate.
 An integrand may return a list of floats instead of a float.  All components
 are then integrated on one node set, a level is accepted only when every
 component meets its tolerance, and the result's value and error are lists.
+Per node a sweep keeps the weight x'(t) and the integrand's value: a float
+for a scalar integrand, a row of floats for a vector one, whose tail test and
+sums then run per component.  A scalar integrand and the same function as a
+one-component vector visit the same nodes and give the same bits.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ import math
 from dataclasses import dataclass
 from itertools import count
 from operator import add, mul
-from typing import Callable, List, NamedTuple, Optional, Sequence, Union
+from typing import Callable, List, NamedTuple, Optional, Union
 
 __all__ = [
     "QuadratureSpec",
@@ -133,7 +137,7 @@ def _semiline_node(t: float):
     return x, (math.pi / 2.0) * math.cosh(t) * x
 
 
-def _side_sweep(node, f, level: int, sign: int) -> List[float]:
+def _side_sweep(node, f, level: int, sign: int, vector: bool) -> List[float]:
     """Per-component sums of x'(t) f(x(t)) over the new nodes of ``level`` on
     one side, t = sign*k*2^-level for k = 1, 1 + stride, ..., until the tail
     of every component has died.
@@ -149,8 +153,8 @@ def _side_sweep(node, f, level: int, sign: int) -> List[float]:
     h = 0.5**level
     stride = 2 if level else 1
     weights: List[float] = []
-    rows: List[Sequence[float]] = []
-    largest: Optional[List[float]] = None
+    values: list = []  # floats, or one row per node for a vector integrand
+    largest = None
     for i in count():
         if i == len(table):
             t = sign * (1 + stride * i) * h
@@ -160,18 +164,28 @@ def _side_sweep(node, f, level: int, sign: int) -> List[float]:
         if entry is None:
             break
         x, dxdt, far = entry
-        row = f(x)
+        value = f(x)
         weights.append(dxdt)
-        rows.append(row)
-        if far:
-            mags = [abs(dxdt * v) for v in row]
-            if largest is None:
-                largest = [max(map(abs, map(mul, weights, col))) for col in zip(*rows)]
-            else:
-                largest = list(map(max, largest, mags))
-            if all(top > 0.0 and mag <= 1e-18 * top for mag, top in zip(mags, largest)):
+        values.append(value)
+        if not far:
+            continue
+        if not vector:
+            mag = abs(dxdt * value)
+            largest = (max(map(abs, map(mul, weights, values))) if largest is None
+                       else max(largest, mag))
+            if largest > 0.0 and mag <= 1e-18 * largest:
                 break
-    return [sum(map(mul, weights, col)) for col in zip(*rows)]
+            continue
+        mags = [abs(dxdt * v) for v in value]
+        if largest is None:
+            largest = [max(map(abs, map(mul, weights, col))) for col in zip(*values)]
+        else:
+            largest = list(map(max, largest, mags))
+        if all(top > 0.0 and mag <= 1e-18 * top for mag, top in zip(mags, largest)):
+            break
+    if vector:
+        return [sum(map(mul, weights, col)) for col in zip(*values)]
+    return [sum(map(mul, weights, values))]
 
 
 def _integrate(node, f, spec: QuadratureSpec, name: str) -> QuadResult:
@@ -188,12 +202,7 @@ def _integrate(node, f, spec: QuadratureSpec, name: str) -> QuadResult:
     first = f(x0)
     vector = isinstance(first, (list, tuple))
     if not vector:
-        scalar = f
         first = (first,)
-
-        def f(x):
-            return (scalar(x),)
-
     raw = [dx0 * v for v in first]
     h = 1.0
     prev: Optional[List[float]] = None
@@ -203,7 +212,7 @@ def _integrate(node, f, spec: QuadratureSpec, name: str) -> QuadResult:
         if level:
             h *= 0.5
         for sign in (1, -1):
-            raw = list(map(add, raw, _side_sweep(node, f, level, sign)))
+            raw = list(map(add, raw, _side_sweep(node, f, level, sign, vector)))
         value = [h * r for r in raw]
         if prev is not None:
             err = [abs(v - q) for v, q in zip(value, prev)]

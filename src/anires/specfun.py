@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Tuple, Union
+from typing import List, Tuple, Union
 
 __all__ = [
     "generalized_binomial",
     "legendre_scaled",
+    "legendre_scaled_grid",
     "bessel_i0_scaled",
 ]
 
@@ -69,26 +70,35 @@ def legendre_scaled(k: int, x: float) -> Tuple[float, int]:
         ``P_k(x) = ldexp(mantissa, exponent) > 0`` with ``mantissa`` in
         ``[1, 2)`` and ``exponent`` an unbounded integer.
     """
-    if k < 0:
-        raise ValueError(f"degree must be >= 0, got {k}")
+    return legendre_scaled_grid([k], x)[0]
+
+
+def legendre_scaled_grid(ks: List[int], x: float) -> List[Tuple[float, int]]:
+    """:func:`legendre_scaled` at each of the increasing degrees ``ks``, all
+    from one pass of the recurrence up to the last degree."""
+    if min(ks) < 0 or any(b <= a for a, b in zip(ks, ks[1:])):
+        raise ValueError(f"degrees must be >= 0 and increase, got {list(ks)}")
     if not 1.0 <= x < math.inf:
         raise ValueError(f"legendre_scaled requires a finite x >= 1, got {x}")
-    if k == 0:
-        return 1.0, 0
-    if k == 1:
-        m, e = math.frexp(x)  # m in [0.5, 1)
-        return 2.0 * m, e - 1
+    m, e = math.frexp(x)  # m in [0.5, 1)
+    out = [(1.0, 0)] if ks[0] == 0 else []
+    if 1 in ks:
+        out.append((2.0 * m, e - 1))
     p_prev = 1.0  # P_0
     p_cur = x  # P_1
     expo = 0
-    for j in range(1, k):
-        p_next = ((2 * j + 1) * x * p_cur - j * p_prev) / (j + 1)
-        _, e = math.frexp(p_next)
-        shift = e - 1  # bring p_next into [1, 2)
-        p_prev = math.ldexp(p_cur, -shift)
-        p_cur = math.ldexp(p_next, -shift)
-        expo += shift
-    return p_cur, expo
+    degree = 1  # of p_cur
+    for k in ks[len(out):]:
+        for j in range(degree, k):
+            p_next = ((2 * j + 1) * x * p_cur - j * p_prev) / (j + 1)
+            _, e = math.frexp(p_next)
+            shift = e - 1  # bring p_next into [1, 2)
+            p_prev = math.ldexp(p_cur, -shift)
+            p_cur = math.ldexp(p_next, -shift)
+            expo += shift
+        degree = k
+        out.append((p_cur, expo))
+    return out
 
 
 def bessel_i0_scaled(x: float) -> float:

@@ -448,3 +448,18 @@ def test_closed_stdout_exits_quietly():
         os.close(write_end)
     assert proc.returncode == 1
     assert proc.stderr == b""
+
+
+@pytest.mark.parametrize("which, delta, kmax", [("fig1", 0.01, 4096), ("fig2a", 1e-4, 8192),
+                                                ("fig2b", 1.0, 4096)])
+def test_crossover_figure_runs_one_legendre_recurrence(which, delta, kmax, tmp_path, monkeypatch):
+    grids = []
+    scan = anires.model.z_coeffs_delta_scaled
+
+    def counted(ks, d):
+        grids.append((list(ks), d))
+        return scan(ks, d)
+
+    monkeypatch.setattr(anires.model, "z_coeffs_delta_scaled", counted)
+    assert main(["figures", "--which", which, "--out", str(tmp_path / "f.csv")]) == 0
+    assert grids == [([16 * 2**i for i in range(kmax.bit_length() - 4)], delta)]

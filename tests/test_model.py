@@ -14,6 +14,9 @@ from anires import (
     z_coeff_delta_scaled,
     z_reference,
 )
+from anires import model
+from anires.model import z_coeffs_delta_scaled
+from anires.specfun import legendre_scaled_grid
 from paper_formulas import (
     gamma_n,
     large_order_estimate,
@@ -425,3 +428,29 @@ def test_model_params_gamma_values():
     assert gamma_n(0) == pytest.approx(1.0 / math.sqrt(math.pi), rel=1e-14)
     assert gamma_n(1) == pytest.approx(-math.sqrt(math.pi) / (2 * math.pi * 2), rel=1e-12)
     assert 3 + p.b0_offset == Fraction(4)  # b0(n) = beta(n) + 3/2 with beta(n) = n - 1/2
+
+
+class TestZCoeffsDeltaScaled:
+    @pytest.mark.parametrize("delta", [1e-2, 1e-4, 1.0, 0.5, -1.5, 1.99, 0.0])
+    def test_equals_one_order_at_a_time(self, delta):
+        # the crossover grids of fig1, fig2a and fig2b, and a dense start with k = 0
+        for ks in ([16 * 2**i for i in range(10)], [0, 1, 2, 3, 4, 40]):
+            assert z_coeffs_delta_scaled(ks, delta) == [z_coeff_delta_scaled(k, delta) for k in ks]
+
+    def test_one_recurrence_per_scan(self, monkeypatch):
+        calls = []
+
+        def counted(ks, x):
+            calls.append(list(ks))
+            return legendre_scaled_grid(ks, x)
+
+        monkeypatch.setattr(model, "legendre_scaled_grid", counted)
+        ks = [16 * 2**i for i in range(10)]
+        z_coeffs_delta_scaled(ks, 1e-4)
+        assert calls == [ks]
+
+    def test_domain_errors(self):
+        with pytest.raises(ValueError, match="delta < 2"):
+            z_coeffs_delta_scaled([0, 16], 2.0)
+        with pytest.raises(ValueError, match="increase"):
+            z_coeffs_delta_scaled([32, 16], 0.5)

@@ -193,3 +193,15 @@ def test_tables_grow_only_with_the_sweeps(monkeypatch):
     assert nodes + 1 == len(calls)  # one node per integrand call, the centre kept apart
     assert all(None not in table[:-1] for table in tables)
     assert len(tables) == 2 * 13
+
+
+@pytest.mark.parametrize("integrate,f", [(integrate_unit, f) for f, _ in UNIT_CASES]
+                         + [(integrate_semiline, f) for f, _ in SEMILINE_CASES])
+def test_scalar_equals_one_component_vector(integrate, f):
+    # a scalar integrand and the same function as a one-component vector visit
+    # the same nodes and give the same bits
+    scalar_nodes, vector_nodes = [], []
+    scalar = integrate(lambda x: scalar_nodes.append(x) or f(x), TIGHT)
+    vector = integrate(lambda x: vector_nodes.append(x) or [f(x)], TIGHT)
+    assert scalar_nodes == vector_nodes
+    assert (scalar.value, scalar.error, scalar.levels) == (vector.value[0], vector.error[0], vector.levels)

@@ -11,6 +11,7 @@ from anires import (
     generalized_binomial,
     legendre_scaled,
 )
+from anires.specfun import legendre_scaled_grid
 
 
 class TestGeneralizedBinomial:
@@ -150,3 +151,23 @@ class TestBesselI0Scaled:
     def test_rejects_nan(self):
         with pytest.raises(ValueError, match="x >= 0"):
             bessel_i0_scaled(float("nan"))
+
+
+class TestLegendreScaledGrid:
+    GRIDS = ([0], [1], [0, 1], [0, 1, 2, 3], [2, 5, 9], [1, 64, 1000], [16, 32, 64, 128, 256])
+
+    @pytest.mark.parametrize("x", [1.0, 1.0000125, 1.06, 1.5, 7.25, 1e6])
+    def test_equals_one_degree_at_a_time(self, x):
+        # one pass up to the last degree gives the same bits as a pass per degree
+        for ks in self.GRIDS:
+            assert legendre_scaled_grid(ks, x) == [legendre_scaled(k, x) for k in ks], ks
+
+    @pytest.mark.parametrize("ks", [[-1, 2], [4, 4], [8, 2], [0, 3, 2]])
+    def test_rejects_a_grid_that_does_not_increase(self, ks):
+        with pytest.raises(ValueError, match="increase"):
+            legendre_scaled_grid(ks, 1.5)
+
+    def test_domain_error(self):
+        with pytest.raises(ValueError, match="finite x >= 1"):
+            legendre_scaled_grid([0, 3], 0.999)
+
