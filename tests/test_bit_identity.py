@@ -145,6 +145,27 @@ FIGURE_SHA256 = {
     "fig8": "9c9804eeec763a405f8cacfbd641d1d8ed8a81649e39f1fd9377c4da4b9e51d5",
     "fig9": "74e6a52fbf6130baadaf62605ae80dab9a54f51819c66088fbf16de3447f88cc",
 }
+# sha256 of the output of other commands (the first model-crossover row carries
+# "" for beta_local)
+OUTPUT_SHA256 = {
+    ("qm-coeffs", "--kmax", "5", "--format", "json"):
+        "202db1b2f7fddebc2c30fce36e39317b02516b3e87b93d59f61d1cf6cd883e6b",
+    ("vpt", "--g4", "1/10", "--delta-range=-1/2:1/2:1/4", "--orders", "3,5", "--format", "json"):
+        "200701bf6c1f5e6387060b64fc5f3eb15e1f8fde37389317c1547cca734b470c",
+    ("model-crossover", "--delta", "1/100", "--kmax", "256", "--format", "json"):
+        "2450c69434e68b27e382b079f93776b0d606f42e64f058fae5ab71327803eba0",
+    ("figures", "--which", "fig5", "--format", "json"):
+        "f4aee2b1ba81cc115d262fce3b3febc67a3dd17181a66861e709d76e3b08912d",
+    ("model-eval", "--g4", "1/4", "--delta-range=-1:1.5:0.1"):
+        "e24233512fb9e8a1560481572fcbdc8241b431bb947e241b08fb0b368961b054",
+}
+# sha256 of the stderr of the crossover figures: k_cross=256, None and 32
+# followed by the convention note
+CROSSOVER_STDERR_SHA256 = {
+    "fig1": "6822d05610303c40b229335c917d5dc1152f7a74751513db79713ca5cfe47042",
+    "fig2a": "5554dcf473dd6ab61789e5af378acf82167a0898dadcb120fcd8f0c3142b8c69",
+    "fig2b": "02388c0796fe567fbafe209ce7a28ca33629962281983a53cf0839170cc76c5d",
+}
 
 
 def _counted(f, calls):
@@ -185,3 +206,17 @@ def test_figure_bytes(tmp_path, which):
     out = tmp_path / f"{which}.csv"
     assert main(["figures", "--which", which, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == FIGURE_SHA256[which]
+
+
+@pytest.mark.parametrize("argv", OUTPUT_SHA256, ids=" ".join)
+def test_output_bytes(tmp_path, argv):
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == OUTPUT_SHA256[argv]
+
+
+@pytest.mark.parametrize("which", CROSSOVER_STDERR_SHA256)
+def test_crossover_stderr_bytes(tmp_path, capsys, which):
+    assert main(["figures", "--which", which, "--out", str(tmp_path / "f.csv")]) == 0
+    err = capsys.readouterr().err
+    assert hashlib.sha256(err.encode()).hexdigest() == CROSSOVER_STDERR_SHA256[which]
