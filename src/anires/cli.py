@@ -10,13 +10,20 @@ Exit status is 0 only if every requested grid point evaluated successfully;
 failures are listed on stderr and flip the status to 1.  A reader that closes
 stdout early (`anires ... | head`) also gives status 1, without a traceback.
 A malformed flag value (including a --g4 that is not positive, a --g4 or
---delta that floats cannot hold, and a model-crossover --delta of 2 or more), a
+--delta that floats cannot hold, and a model-crossover --delta of 2 or more or
+--kmax below 32, which would leave one grid point and no slope), a
 missing required flag (--g4, and one of --delta and --delta-range, where a
 command takes them), conflicting flags (--delta together with --delta-range)
 and a figures flag that the chosen figure does not read are usage errors
 (status 2) before any work starts.  A --sigma that leaves a nonzero a_pn
 without a finite nonzero float is a usage error too, found when the
 approximant is built and before any row is written.
+
+A figure is one entry of ``_FIGURES``: its runner with the figure's defaults
+(delta and kmax of a crossover scan; g/4, sigma and orders of a resummed
+figure) and the flags of ``figures`` that it does not read.  The runners
+share their rows with the commands: ``_crossover`` with model-crossover,
+``_model_row`` with model-eval and model-resum, ``_qm_row`` with qm-resum.
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ import math
 import os
 import sys
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence
 
 from . import benderwu, model, qm, vpt
@@ -71,7 +79,8 @@ _coupling = _arg(Fraction, "an exact decimal or fraction > 0 whose g/4 and g are
                  "positive floats", lambda v: float(v) > 0 and math.isfinite(4.0 * float(v)))
 _tolerance = _arg(float, "a finite number > 0", lambda v: 0 < v < math.inf)
 _count = _arg(int, "an integer >= 0", lambda v: v >= 0)
-_crossover_kmax = _arg(int, "an integer >= 16", lambda v: v >= 16)
+# a doubling grid k = 16, 32, ..., kmax needs two points for a slope
+_crossover_kmax = _arg(int, "an integer >= 32", lambda v: v >= 32)
 _orders = _arg(lambda text: [int(s) for s in text.split(",")], "comma-separated orders >= 0",
                lambda ks: min(ks) >= 0)
 
@@ -126,12 +135,6 @@ def _fraction_decimal(value: Fraction, digits: int = 40) -> str:
     return f"{sign}{ipart}" + (f".{frac_str}" if frac_str else "")
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
-
-
 def _write_rows(path: Optional[str], header: Sequence[str], rows: Sequence[Sequence],
                 fmt: str) -> None:
     out = open(path, "w", newline="") if path else sys.stdout
@@ -139,12 +142,9 @@ def _write_rows(path: Optional[str], header: Sequence[str], rows: Sequence[Seque
         if fmt == "csv":
             writer = csv.writer(out, lineterminator="\n")
             writer.writerow(header)
-            for row in rows:
-                writer.writerow([_fmt(v) for v in row])
+            writer.writerows(rows)
         else:
-            doc = [dict(zip(header, [(_fmt(v) if isinstance(v, Fraction) else v) for v in row]))
-                   for row in rows]
-            json.dump(doc, out, indent=2)
+            json.dump([dict(zip(header, row)) for row in rows], out, indent=2)
             out.write("\n")
     finally:
         if path:
@@ -191,6 +191,37 @@ def _dump_approximant(args, approx) -> None:
             fh.write(approximant_to_json(approx))
 
 
+def _model_row(g: float, approxes: Sequence, spec: QuadratureSpec) -> Callable[..., tuple]:
+    """The row delta, Z^(N) of each approximant, then z_reference, at coupling g."""
+    def row(delta):
+        df = float(delta)
+        return (df, *(a.resum(g, df, spec) for a in approxes), model.z_reference(g, df, spec))
+    return row
+
+
+def _qm_row(gbar: Fraction, approxes: Sequence, spec: QuadratureSpec, energy: CoefficientTable,
+            vpt_order: int) -> Callable[..., tuple]:
+    """The row delta, E^(N) of each approximant, then the VPT energy at
+    ``vpt_order`` unless it is 0, at g/4 = gbar."""
+    def row(delta):
+        out = (float(delta), *(a.resum(float(gbar), 2.0 * float(delta), spec) for a in approxes))
+        if vpt_order:
+            out += (vpt.vpt_energy(energy, vpt_order, gbar, delta).energy,)
+        return out
+    return row
+
+
+def _crossover(args, delta: float, kmax: int) -> int:
+    """The local exponent of Z_k(delta) on the doubling grid k = 16, 32, ..., kmax."""
+    ks = [16 * 2**i for i in range(kmax.bit_length() - 4)]
+    report = local_exponent(model.z_coeffs_delta_scaled(ks, delta), 4.0, ks)
+    # the first grid point has no incoming slope
+    rows = list(zip(report.k_grid, report.f_values, ("", *report.beta_local)))
+    _write_rows(args.out, ["k", "f", "beta_local"], rows, args.format)
+    print(f"k_cross={report.k_cross}; {_CROSSOVER_NOTE}", file=sys.stderr)
+    return 0
+
+
 # ---------------------------------------------------------------- commands
 
 
@@ -203,68 +234,38 @@ def cmd_qm_coeffs(args) -> int:
 
 
 def cmd_model_eval(args) -> int:
-    spec = _quad_spec(args.tol)
-    g = 4.0 * float(args.g4)
-    points = [{"delta": d} for d in _delta_grid(args)]
-
-    def one(delta):
-        return float(delta), model.z_reference(g, float(delta), spec)
-
-    return _run_grid(args, ["delta", "z_reference"], one, points)
+    row = _model_row(4.0 * float(args.g4), [], _quad_spec(args.tol))
+    return _run_grid(args, ["delta", "z_reference"], row,
+                     [{"delta": d} for d in _delta_grid(args)])
 
 
 def cmd_model_crossover(args) -> int:
-    delta = float(args.delta)
-    ks = []
-    k = 16
-    while k <= args.kmax:
-        ks.append(k)
-        k *= 2
-    report = local_exponent(model.z_coeffs_delta_scaled(ks, delta), 4.0, ks)
-    rows = []
-    for i, k in enumerate(report.k_grid):
-        beta = report.beta_local[i - 1] if i >= 1 else ""
-        rows.append((k, report.f_values[i], beta))
-    _write_rows(args.out, ["k", "f", "beta_local"], rows, args.format)
-    print(f"k_cross={report.k_cross}; {_CROSSOVER_NOTE}", file=sys.stderr)
-    return 0
+    return _crossover(args, float(args.delta), args.kmax)
 
 
 def cmd_model_resum(args) -> int:
-    spec = _quad_spec(args.tol)
-    g = 4.0 * float(args.g4)
     N = args.order
-    points = [{"delta": d} for d in _delta_grid(args)]
-    mc = model.ModelCoefficients.build(N)
-    approx = build_approximant(mc.table, N, model.model_large_order_params())
+    approx = build_approximant(model.ModelCoefficients.build(N).table, N,
+                               model.model_large_order_params())
     _dump_approximant(args, approx)
+    row = _model_row(4.0 * float(args.g4), [approx], _quad_spec(args.tol))
 
     def one(delta):
-        df = float(delta)
-        zn = approx.resum(g, df, spec)
-        zr = model.z_reference(g, df, spec)
+        df, zn, zr = row(delta)
         return df, zn, zr, abs(zn - zr)
 
-    return _run_grid(args, ["delta", "z_resummed", "z_reference", "abs_error"], one, points)
+    return _run_grid(args, ["delta", "z_resummed", "z_reference", "abs_error"], one,
+                     [{"delta": d} for d in _delta_grid(args)])
 
 
 def cmd_qm_resum(args) -> int:
-    spec = _quad_spec(args.tol)
-    gbar = args.g4
     N = args.order
-    points = [{"delta": d} for d in _delta_grid(args)]
-    state = benderwu.build(max(N, args.vpt_baseline or 0))
+    state = benderwu.build(max(N, args.vpt_baseline))
     approx, = _qm_approximants(state.energy, [N], args.sigma)
     _dump_approximant(args, approx)
-
-    def one(delta):
-        row = (float(delta), approx.resum(float(gbar), 2.0 * float(delta), spec))
-        if args.vpt_baseline:
-            row += (vpt.vpt_energy(state.energy, args.vpt_baseline, gbar, delta).energy,)
-        return row
-
+    row = _qm_row(args.g4, [approx], _quad_spec(args.tol), state.energy, args.vpt_baseline)
     header = ["delta", "e_resummed"] + (["vpt_baseline"] if args.vpt_baseline else [])
-    return _run_grid(args, header, one, points)
+    return _run_grid(args, header, row, [{"delta": d} for d in _delta_grid(args)])
 
 
 def cmd_vpt(args) -> int:
@@ -282,51 +283,34 @@ def cmd_vpt(args) -> int:
                      one, points)
 
 
-def cmd_figures(args) -> int:
-    which = args.which
-    spec = _quad_spec(args.tol)
-    if which in ("fig1", "fig2a", "fig2b"):
-        cfg = {"fig1": (Fraction(1, 100), 4096), "fig2a": (Fraction(1, 10000), 8192),
-               "fig2b": (Fraction(1), 4096)}
-        delta, kmax = cfg[which]
-        args.delta, args.kmax = delta, kmax
-        return cmd_model_crossover(args)
-    if which == "fig4":
-        g = 4.0 * float(args.g4 or Fraction(1, 4))
-        mc = model.ModelCoefficients.build(8)
-        params = model.model_large_order_params()
-        approxes = [build_approximant(mc.table, N, params) for N in (2, 4, 6, 8)]
+# ----------------------------------------------------------------- figures
+# A figure runner reads args.g4 and args.sigma, which are None unless given,
+# in place of the defaults in its _FIGURES entry.
 
-        def fig4_row(delta):
-            df = float(delta)
-            return (df, *(a.resum(g, df, spec) for a in approxes),
-                    model.z_reference(g, df, spec))
 
-        return _run_grid(args, ["delta", "z_N2", "z_N4", "z_N6", "z_N8", "z_reference"],
-                         fig4_row, [{"delta": d} for d in _parse_range("-1:3/2:1/20")])
-    if which in ("fig5", "fig6", "fig8", "fig9"):
-        gbar_default = {"fig5": "1/10", "fig6": "1", "fig8": "1/10", "fig9": "1"}[which]
-        # fig8/fig9 are the larger-sigma refit of fig5/fig6
-        sigma = args.sigma or Fraction(3 if which in ("fig5", "fig6") else 4)
-        gbar = args.g4 or Fraction(gbar_default)
-        orders = (2, 4, 6) if which in ("fig8", "fig9") else (2, 4, 6, 8)
-        state = benderwu.build(11)  # VPT at k = 11 is the highest order read
-        approxes = _qm_approximants(state.energy, orders, sigma)
+def _model_figure(args, gbar: Fraction, orders: Sequence[int]) -> int:
+    mc = model.ModelCoefficients.build(max(orders))
+    params = model.model_large_order_params()
+    approxes = [build_approximant(mc.table, N, params) for N in orders]
+    row = _model_row(4.0 * float(args.g4 or gbar), approxes, _quad_spec(args.tol))
+    header = ["delta"] + [f"z_N{N}" for N in orders] + ["z_reference"]
+    return _run_grid(args, header, row, [{"delta": d} for d in _parse_range("-1:3/2:1/20")])
 
-        def qm_row(delta):
-            return (float(delta),
-                    *(a.resum(float(gbar), 2.0 * float(delta), spec) for a in approxes),
-                    vpt.vpt_energy(state.energy, 11, gbar, delta).energy)
 
-        header = ["delta"] + [f"e_N{N}" for N in orders] + ["vpt_baseline"]
-        return _run_grid(args, header, qm_row,
-                         [{"delta": d} for d in _parse_range("-3/2:2:1/10")])
-    # fig7, the last of the parser's choices
-    gbar = args.g4 or Fraction(1, 10)
+def _qm_figure(args, gbar: Fraction, sigma: int, orders: Sequence[int]) -> int:
+    state = benderwu.build(11)  # VPT at k = 11 is the highest order read
+    approxes = _qm_approximants(state.energy, orders, args.sigma or sigma)
+    row = _qm_row(args.g4 or gbar, approxes, _quad_spec(args.tol), state.energy, 11)
+    header = ["delta"] + [f"e_N{N}" for N in orders] + ["vpt_baseline"]
+    return _run_grid(args, header, row, [{"delta": d} for d in _parse_range("-3/2:2:1/10")])
+
+
+def _vpt_figure(args, gbar: Fraction) -> int:
+    """W_5 on an Omega grid at four deltas."""
     state = benderwu.build(5)
     rows = []
     for ds in ("-3/2", "-1/2", "1/2", "3/2"):
-        W = vpt.w_laurent(state.energy, 5, gbar, Fraction(ds))
+        W = vpt.w_laurent(state.energy, 5, args.g4 or gbar, Fraction(ds))
         om = 0.8
         while om <= 2.0 + 1e-9:
             rows.append((float(Fraction(ds)), round(om, 4), W.evaluate(om)))
@@ -335,12 +319,24 @@ def cmd_figures(args) -> int:
     return 0
 
 
-# the flags of `figures` that a figure does not read
-_FIGURE_UNUSED = {
-    **dict.fromkeys(("fig1", "fig2a", "fig2b"), ("g4", "sigma", "tol")),
-    "fig4": ("sigma",),
-    "fig7": ("sigma", "tol"),
+# each figure: its runner, with the figure's defaults, and the flags of
+# `figures` that it does not read; fig8/fig9 are the larger-sigma refit of fig5/fig6
+_FIGURES = {
+    "fig1": (partial(_crossover, delta=0.01, kmax=4096), ("g4", "sigma", "tol")),
+    "fig2a": (partial(_crossover, delta=1e-4, kmax=8192), ("g4", "sigma", "tol")),
+    "fig2b": (partial(_crossover, delta=1.0, kmax=4096), ("g4", "sigma", "tol")),
+    "fig4": (partial(_model_figure, gbar=Fraction(1, 4), orders=(2, 4, 6, 8)), ("sigma",)),
+    "fig5": (partial(_qm_figure, gbar=Fraction(1, 10), sigma=3, orders=(2, 4, 6, 8)), ()),
+    "fig6": (partial(_qm_figure, gbar=Fraction(1), sigma=3, orders=(2, 4, 6, 8)), ()),
+    "fig7": (partial(_vpt_figure, gbar=Fraction(1, 10)), ("sigma", "tol")),
+    "fig8": (partial(_qm_figure, gbar=Fraction(1, 10), sigma=4, orders=(2, 4, 6)), ()),
+    "fig9": (partial(_qm_figure, gbar=Fraction(1), sigma=4, orders=(2, 4, 6)), ()),
 }
+
+
+def cmd_figures(args) -> int:
+    runner, _ = _FIGURES[args.which]
+    return runner(args)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -387,7 +383,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("model-crossover", help="large-order crossover scan", description=_K_CROSS)
     common(p, tol=False)
-    p.add_argument("--kmax", type=_crossover_kmax, default=4096)
+    p.add_argument("--kmax", type=_crossover_kmax, default=4096,
+                   help="the grid stops at the last k <= kmax; at least 32 (default 4096)")
     p.add_argument("--delta", type=_model_delta, required=True,
                    help="anisotropy < 2 (exact decimal or fraction)")
     p.set_defaults(fn=cmd_model_crossover)
@@ -416,9 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("figures", help="reproduce a figure's data as CSV",
                        description="fig1, fig2a and fig2b are model-crossover scans: " + _K_CROSS)
-    p.add_argument("--which", required=True,
-                   choices=["fig1", "fig2a", "fig2b", "fig4", "fig5", "fig6",
-                            "fig7", "fig8", "fig9"])
+    p.add_argument("--which", required=True, choices=list(_FIGURES))
     p.add_argument("--g4", type=_coupling, help="coupling g/4 > 0 (default per figure)")
     common(p)
     p.add_argument("--sigma", type=_sigma, default=None,
@@ -432,8 +427,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "figures":
-        unused = [f"--{name}" for name in _FIGURE_UNUSED.get(args.which, ())
-                  if getattr(args, name) is not None]
+        _, ignored = _FIGURES[args.which]
+        unused = [f"--{name}" for name in ignored if getattr(args, name) is not None]
         if unused:
             parser.error(f"figures --which {args.which} does not use {', '.join(unused)}")
     try:

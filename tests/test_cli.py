@@ -117,8 +117,14 @@ class TestCrossoverCommand:
         rows = read_csv(out)
         assert abs(float(rows[2][2]) + 1.0) < 0.02
 
-    def test_kmax_floor(self, capsys):
-        usage_error(["model-crossover", "--delta", "0.01", "--kmax", "8"], capsys)
+    def test_kmax_floor(self, tmp_path, capsys):
+        # below 32 the grid k = 16, 32, ..., kmax has one point and no slope
+        for kmax in ("8", "16", "31"):
+            err = usage_error(["model-crossover", "--delta", "0.01", "--kmax", kmax], capsys)
+            assert "--kmax: expected an integer >= 32" in err
+        out = tmp_path / "x.csv"
+        assert main(["model-crossover", "--delta", "0.01", "--kmax", "32", "--out", str(out)]) == 0
+        assert [row[0] for row in read_csv(out)] == ["k", "16", "32"]
 
     @pytest.mark.parametrize("argv", [["--kmax", "32"],
                                       ["--delta", "1", "--delta-range=0:1:1"]],
@@ -418,6 +424,50 @@ def test_figures_rejects_flag_the_figure_ignores(which, flags, capsys):
     # the output would not depend on the flag, so giving it is a usage error
     err = usage_error(["figures", "--which", which] + flags, capsys)
     assert f"does not use {', '.join(flag for flag in flags if flag.startswith('--'))}" in err
+
+
+@pytest.mark.parametrize("which, flags", [
+    ("fig4", ["--g4", "1/2"]), ("fig5", ["--g4", "1/5"]), ("fig7", ["--g4", "1/5"]),
+    ("fig5", ["--sigma", "4"]), ("fig8", ["--sigma", "5"]),
+])
+def test_figures_reads_flag_it_accepts(which, flags, tmp_path):
+    # a flag that a figure's _FIGURES entry accepts changes its output
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main(["figures", "--which", which, "--out", str(a)]) == 0
+    assert main(["figures", "--which", which, *flags, "--out", str(b)]) == 0
+    assert a.read_bytes() != b.read_bytes()
+
+
+def _column(path, name):
+    rows = read_csv(path)
+    return [row[rows[0].index(name)] for row in rows[1:]]
+
+
+def test_fig1_is_the_model_crossover_scan(tmp_path, capsys):
+    a, b = tmp_path / "fig1.csv", tmp_path / "cross.csv"
+    assert main(["figures", "--which", "fig1", "--out", str(a)]) == 0
+    fig_err = capsys.readouterr().err
+    assert main(["model-crossover", "--delta", "1/100", "--kmax", "4096", "--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+    assert fig_err == capsys.readouterr().err
+
+
+def test_fig4_reference_is_model_eval(tmp_path):
+    a, b = tmp_path / "fig4.csv", tmp_path / "ref.csv"
+    assert main(["figures", "--which", "fig4", "--out", str(a)]) == 0
+    assert main(["model-eval", "--g4", "1/4", "--delta-range=-1:3/2:1/20", "--out", str(b)]) == 0
+    for name in ("delta", "z_reference"):
+        assert _column(a, name) == _column(b, name)
+
+
+def test_fig5_columns_are_qm_resum(tmp_path):
+    a, b = tmp_path / "fig5.csv", tmp_path / "energy.csv"
+    assert main(["figures", "--which", "fig5", "--out", str(a)]) == 0
+    assert main(["qm-resum", "--g4", "1/10", "--order", "8", "--vpt-baseline", "11",
+                 "--delta-range=-3/2:2:1/10", "--out", str(b)]) == 0
+    assert _column(a, "delta") == _column(b, "delta")
+    assert _column(a, "e_N8") == _column(b, "e_resummed")
+    assert _column(a, "vpt_baseline") == _column(b, "vpt_baseline")
 
 
 def test_readme_commands_parse():

@@ -6,6 +6,7 @@ import importlib
 import pkgutil
 import re
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -86,6 +87,42 @@ def test_public_names_have_a_runtime_caller():
     unused = sorted(name for name in exported
                     if name not in used and re.search(rf"\b{name}\b", bench) is None)
     assert unused == []
+
+
+def _loads(tree):
+    """The names that ``tree`` reads, as Name or Attribute loads."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+
+
+def _bound(node):
+    """The names that a module or class body statement binds."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
+def test_private_names_have_a_reader():
+    # a private module-level function, class or value (a _CONSTANT, or a flag
+    # parser such as cli._fraction), or a private member of a class, must be
+    # read somewhere in the package outside its own definition, so a helper
+    # that a refactor leaves behind fails here
+    reads = Counter()
+    private = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        reads.update(_loads(tree))
+        for node in tree.body:
+            for item in [node, *(node.body if isinstance(node, ast.ClassDef) else [])]:
+                private += [(f"{path.name}:{name}", name, item) for name in _bound(item)
+                            if name.startswith("_") and not name.endswith("__")]
+    assert len(private) > 40
+    unread = [where for where, name, item in private if reads[name] == Counter(_loads(item))[name]]
+    assert unread == []
 
 
 def test_benchmark_trace_targets_resolve():
