@@ -61,6 +61,15 @@ def test_parses_as_python_3_10(path):
     ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
 
 
+def _loads(tree):
+    """The names that ``tree`` reads, as Name or Attribute loads."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+
+
 def test_public_names_have_a_runtime_caller():
     # a name in a module's __all__, or a method defined in the body of an exported
     # class (dunders aside), must be read somewhere in the package (a Name or
@@ -72,11 +81,7 @@ def test_public_names_have_a_runtime_caller():
         if path.name == "__init__.py":
             continue
         tree = ast.parse(path.read_text())
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                used.add(node.attr)
+        used.update(_loads(tree))
         names = getattr(importlib.import_module(f"anires.{path.stem}"), "__all__", ())
         exported += names
         exported += [item.name for node in tree.body
@@ -87,15 +92,6 @@ def test_public_names_have_a_runtime_caller():
     unused = sorted(name for name in exported
                     if name not in used and re.search(rf"\b{name}\b", bench) is None)
     assert unused == []
-
-
-def _loads(tree):
-    """The names that ``tree`` reads, as Name or Attribute loads."""
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            yield node.id
-        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            yield node.attr
 
 
 def _bound(node):
