@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from anires import benderwu_build
+from anires import benderwu, benderwu_build
 
 from fixtures_tables import TABLE1_EXACT
 
@@ -199,6 +199,38 @@ def test_hellmann_feynman_n1_column(bw_state_20):
     e = bw_state_20.energy
     for k in range(21):
         assert e.entry(k, 1) == -Fraction(k, 8) * e.entry(k, 0), k
+
+
+def test_zero_outside_the_support(bw_state):
+    # the packed fill computes every slot of an antidiagonal, also those with
+    # i above 2k - n, and relies on the support theorem that makes them zero
+    outside = [(k, n, N[benderwu._off(i + j) + j]) for (k, n), (N, _) in bw_state.A._blocks.items()
+               for i in range(2 * k + 1) for j in range(min(i, 2 * k - i) + 1) if i > 2 * k - n]
+    assert len(outside) == 1365
+    assert [(k, n) for k, n, x in outside if x] == []
+
+
+def test_one_decode_per_order_and_one_product_per_energy_term(monkeypatch):
+    # order k packs e_l(2^B) and A^{k-l}(2^B) and feeds k - 1 products per
+    # position, one call per l, and decodes its positions once
+    events = []
+    decode, feed = benderwu._decode, benderwu._feed
+    monkeypatch.setattr(benderwu, "_decode", lambda *args: events.append("|") or decode(*args))
+    monkeypatch.setattr(benderwu, "_feed", lambda *args: events.append("*") or feed(*args))
+    benderwu_build(9)
+    assert "".join(events).split("|") == ["*" * (k - 1) for k in range(1, 10)] + [""]
+
+
+@pytest.mark.parametrize("narrow", [lambda width: min(width, 256), lambda width: max(8, width - 8)],
+                         ids=["capped-at-256-bits", "one-byte-short"])
+def test_too_narrow_a_slot_is_never_decoded(monkeypatch, narrow):
+    # the decoder checks each slot width against the bound it was chosen from:
+    # a width rule that leaves a slot too little room makes build raise before
+    # any slot is read, instead of returning a table with a carried-over slot
+    width = benderwu._width
+    monkeypatch.setattr(benderwu, "_width", lambda bound: narrow(width(bound)))
+    with pytest.raises(OverflowError, match="slots cannot hold"):
+        benderwu_build(20)
 
 
 def test_kmax20_table_pinned(bw_state_20):
