@@ -244,6 +244,17 @@ def _sign_at(a: List[int], u: int, e: int) -> int:
     return (h > 0) - (h < 0)
 
 
+def _newton_step(a: List[int], u: int, e: int) -> int:
+    """The integer nearest to the Newton step from u / 2^e on the grid of
+    spacing 2^-e, a(u / 2^e) / a'(u / 2^e) * 2^e, by one Horner pass on
+    h = 2^(e deg a) a(u / 2^e) and its derivative dh in u; 0 where dh = 0."""
+    h = dh = 0
+    for i, c in enumerate(reversed(a)):
+        dh = dh * u + h
+        h = h * u + (c << (e * i))
+    return (2 * h + dh) // (2 * dh) if dh else 0
+
+
 def _bernstein(a: List[int]) -> List[int]:
     """Bernstein coefficients b_i of a on (0, 1), times one positive integer.
 
@@ -317,9 +328,10 @@ def _refine(Q: List[int], u: int, e: int, s: int, x: float) -> Tuple[int, int]:
     until the cell index reaches 2^40 at some level f, and returns the cell's
     midpoint, or the root itself if a midpoint hits it.  Here x, clipped into
     the interval, only sets where that cell is sought: on the grid of level
-    E = max(e, 41 - frexp exponent of x), exact signs 1, 2, 4, .. steps from
-    floor(x 2^E) and then bisection find the cell (c, c + 1) / 2^E that holds
-    the root, or the root c / 2^E itself.  The interval's ends are never
+    E = max(e, 41 - frexp exponent of x), one exact Newton step from
+    floor(x 2^E) (:func:`_newton_step`, clipped into the interval), then exact
+    signs 1, 2, 4, .. steps away and bisection find the cell (c, c + 1) / 2^E
+    that holds the root, or the root c / 2^E itself.  The interval's ends are never
     evaluated: they carry the signs s and -s, and either may be a root of Q
     found at a midpoint.  A cell index below 2^40 is halved on as in the
     reference; one of 2^41 or more drops its low bits down to level f.
@@ -327,7 +339,8 @@ def _refine(Q: List[int], u: int, e: int, s: int, x: float) -> Tuple[int, int]:
     x = min(math.ldexp(u + 1, -e), max(math.ldexp(u, -e), x))  # NaN goes to the left end
     E = max(e, 41 - math.frexp(x)[1])
     lo, hi = u << (E - e), (u + 1) << (E - e)
-    v, step, t = min(max(int(math.ldexp(x, E)), lo), hi), 1, s
+    v = min(max(int(math.ldexp(x, E)), lo), hi)
+    v, step, t = min(max(v - _newton_step(Q, v, E), lo), hi), 1, s
     while t and hi - lo > 1:
         if not lo < v < hi:
             v = (lo + hi) // 2

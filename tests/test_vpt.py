@@ -394,16 +394,20 @@ class TestCertifiedRefinement:
                 assert _positive_roots(fn) == positive_roots_bisection(fn), (k, gbar, d)
 
     def test_exact_signs_per_root(self, qm_table, monkeypatch):
-        # the side sign of each root comes from its isolating Bernstein piece,
-        # so the refinement spends at least one exact sign per root less than
-        # the 636 that a separate probe of each root's left end took here
+        # one exact Newton step from the float guess lands in or next to the
+        # root's cell, so the search needs two exact signs per root here: 244
+        # for the 122 roots (514 without the step), with a margin of a tenth
         calls, sign_at = [], vpt._sign_at
+        steps, newton_step = [], vpt._newton_step
         monkeypatch.setattr(vpt, "_sign_at", lambda *args: calls.append(args) or sign_at(*args))
+        monkeypatch.setattr(vpt, "_newton_step",
+                            lambda *args: steps.append(args) or newton_step(*args))
         roots = 0
         for k, gbar, d in _refinement_grid():
             d1 = w_laurent(qm_table, k, gbar, d).derivative()
             roots += len(_positive_roots(d1)) + len(_positive_roots(d1.derivative()))
-        assert len(calls) <= 636 - roots
+        assert roots == 122 and len(steps) == roots
+        assert len(calls) <= 244 + 24
 
     @pytest.mark.parametrize("roots", [
         [Fraction(7, 5), Fraction(7, 5) * (1 + Fraction(1, 10**11))],
