@@ -88,14 +88,17 @@ def legendre_scaled_grid(ks: List[int], x: float) -> List[Tuple[float, int]]:
     p_cur = x  # P_1
     expo = 0
     degree = 1  # of p_cur
+    # rescaling by a power of 2 is exact, so it is needed only far from
+    # overflow, where (2j + 1) x p_cur would pass (2j + 1) 2^500, and at each
+    # output degree; the mantissas equal those of a rescaling at every step
+    limit = 2.0**500 / x
     for k in ks[len(out):]:
         for j in range(degree, k):
-            p_next = ((2 * j + 1) * x * p_cur - j * p_prev) / (j + 1)
-            _, e = math.frexp(p_next)
-            shift = e - 1  # bring p_next into [1, 2)
-            p_prev = math.ldexp(p_cur, -shift)
-            p_cur = math.ldexp(p_next, -shift)
-            expo += shift
+            p_prev, p_cur = p_cur, ((2 * j + 1) * x * p_cur - j * p_prev) / (j + 1)
+            if p_cur > limit or j == k - 1:
+                shift = math.frexp(p_cur)[1] - 1  # bring p_cur into [1, 2)
+                p_prev, p_cur = math.ldexp(p_prev, -shift), math.ldexp(p_cur, -shift)
+                expo += shift
         degree = k
         out.append((p_cur, expo))
     return out
