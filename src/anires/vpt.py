@@ -244,15 +244,16 @@ def _sign_at(a: List[int], u: int, e: int) -> int:
     return (h > 0) - (h < 0)
 
 
-def _newton_step(a: List[int], u: int, e: int) -> int:
-    """The integer nearest to the Newton step from u / 2^e on the grid of
-    spacing 2^-e, a(u / 2^e) / a'(u / 2^e) * 2^e, by one Horner pass on
-    h = 2^(e deg a) a(u / 2^e) and its derivative dh in u; 0 where dh = 0."""
+def _newton_step(a: List[int], u: int, e: int) -> Tuple[int, int]:
+    """The sign of a(u / 2^e), as :func:`_sign_at` gives it, and the integer
+    nearest to the Newton step a(u / 2^e) / a'(u / 2^e) in units of 2^-e (0
+    where a' vanishes), from one Horner pass on h = 2^(e deg a) a(u / 2^e)
+    and its derivative dh in u."""
     h = dh = 0
     for i, c in enumerate(reversed(a)):
         dh = dh * u + h
         h = h * u + (c << (e * i))
-    return (2 * h + dh) // (2 * dh) if dh else 0
+    return (h > 0) - (h < 0), (2 * h + dh) // (2 * dh) if dh else 0
 
 
 def _bernstein(a: List[int]) -> List[int]:
@@ -328,19 +329,25 @@ def _refine(Q: List[int], u: int, e: int, s: int, x: float) -> Tuple[int, int]:
     until the cell index reaches 2^40 at some level f, and returns the cell's
     midpoint, or the root itself if a midpoint hits it.  Here x, clipped into
     the interval, only sets where that cell is sought: on the grid of level
-    E = max(e, 41 - frexp exponent of x), one exact Newton step from
+    E = max(e, 41 - frexp exponent of x), the exact sign and Newton step at
     floor(x 2^E) (:func:`_newton_step`, clipped into the interval), then exact
-    signs 1, 2, 4, .. steps away and bisection find the cell (c, c + 1) / 2^E
-    that holds the root, or the root c / 2^E itself.  The interval's ends are never
-    evaluated: they carry the signs s and -s, and either may be a root of Q
-    found at a midpoint.  A cell index below 2^40 is halved on as in the
-    reference; one of 2^41 or more drops its low bits down to level f.
+    signs from the grid point that step reaches, 1, 2, 4, .. steps apart, and
+    bisection find the cell (c, c + 1) / 2^E that holds the root, or the root
+    c / 2^E itself.  The interval's ends are never evaluated: they carry the
+    signs s and -s, and either may be a root of Q found at a midpoint.  A
+    cell index below 2^40 is halved on as in the reference; one of 2^41 or
+    more drops its low bits down to level f.
     """
     x = min(math.ldexp(u + 1, -e), max(math.ldexp(u, -e), x))  # NaN goes to the left end
     E = max(e, 41 - math.frexp(x)[1])
     lo, hi = u << (E - e), (u + 1) << (E - e)
-    v = min(max(int(math.ldexp(x, E)), lo), hi)
-    v, step, t = min(max(v - _newton_step(Q, v, E), lo), hi), 1, s
+    v, step, t = min(max(int(math.ldexp(x, E)), lo + 1), hi - 1), 1, s
+    if lo < v < hi:  # the Newton pass gives the sign at v, then a step toward the root
+        t, dv = _newton_step(Q, v, E)
+        if t == -s:
+            hi, v = v, min(v - dv, v - 1)
+        else:  # t == s, or t == 0 at the root
+            lo, v = v, max(v - dv, v + 1)
     while t and hi - lo > 1:
         if not lo < v < hi:
             v = (lo + hi) // 2

@@ -394,9 +394,10 @@ class TestCertifiedRefinement:
                 assert _positive_roots(fn) == positive_roots_bisection(fn), (k, gbar, d)
 
     def test_exact_signs_per_root(self, qm_table, monkeypatch):
-        # one exact Newton step from the float guess lands in or next to the
-        # root's cell, so the search needs two exact signs per root here: 244
-        # for the 122 roots (514 without the step), with a margin of a tenth
+        # one exact Newton pass at the float guess gives a sign and a step to
+        # the root's cell, so the search spends one pass and 1.3 exact signs
+        # per root here: 160 signs for the 122 roots (514 without the pass),
+        # with a margin of a tenth
         calls, sign_at = [], vpt._sign_at
         steps, newton_step = [], vpt._newton_step
         monkeypatch.setattr(vpt, "_sign_at", lambda *args: calls.append(args) or sign_at(*args))
@@ -407,7 +408,7 @@ class TestCertifiedRefinement:
             d1 = w_laurent(qm_table, k, gbar, d).derivative()
             roots += len(_positive_roots(d1)) + len(_positive_roots(d1.derivative()))
         assert roots == 122 and len(steps) == roots
-        assert len(calls) <= 244 + 24
+        assert len(calls) <= 160 + 16
 
     @pytest.mark.parametrize("roots", [
         [Fraction(7, 5), Fraction(7, 5) * (1 + Fraction(1, 10**11))],
