@@ -41,7 +41,7 @@ A^{k-l}_{ij}(z) with e_l(z) = sum_m e_{lm} z^m (the l = k term multiplies
 A^0_{ij} = 0 for i+j >= 1).  No product has degree above k in z.  Setting
 z = 2^B (Kronecker substitution) turns a position into one integer
 sum_n N_n 2^{Bn}, with one B-bit slot per n.  Order k then runs over Q, the
-lcm of the products D_l D_{k-l}:
+lcm of D_{k-1} and the products D_l D_{k-l}, 0 < l < k:
   - the energy terms are one packed product per l and position, of
     -e_l(2^B) Q / (D_l D_{k-l}) and A^{k-l}(2^B);
   - the shift terms add f (p + q + 2r) - f (r << B), f = Q / D_{k-1}, once
